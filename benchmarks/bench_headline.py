@@ -5,10 +5,7 @@ leaking requests / mean 2.97 receivers per sender / 46.15% with >= 3 /
 maximum 16 (loccitane.com).
 """
 
-import pytest
-
 from repro.core import CandidateTokenSet, LeakAnalysis, LeakDetector
-from repro.core.detector import leaking_requests
 from repro.core.persona import DEFAULT_PERSONA
 from repro.crawler import StudyCrawler
 from repro.reporting import render_headline
@@ -24,15 +21,13 @@ def test_bench_full_pipeline(benchmark, emit):
         detector = LeakDetector(CandidateTokenSet(DEFAULT_PERSONA),
                                 catalog=spec.catalog,
                                 resolver=spec.population.resolver())
-        events = detector.detect(dataset.log)
-        return dataset, detector, events
+        return detector.run(dataset.log)
 
-    dataset, detector, events = benchmark.pedantic(pipeline, rounds=1,
-                                                   iterations=1)
-    analysis = LeakAnalysis(events)
-    count = len(leaking_requests(dataset.log, detector))
-    emit("headline", render_headline(analysis, total_sites=307,
-                                     leaking_requests=count))
+    result = benchmark.pedantic(pipeline, rounds=1, iterations=1)
+    analysis = LeakAnalysis(result.events)
+    emit("headline", render_headline(
+        analysis, total_sites=307,
+        leaking_requests=result.leaking_entry_count))
     assert len(analysis.senders()) == 130
 
 

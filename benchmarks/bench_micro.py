@@ -1,26 +1,10 @@
 """Micro-benchmarks for the performance-critical primitives.
 
-Two modes:
-
-* under pytest (``pytest benchmarks/bench_micro.py``) the
-  pytest-benchmark cases below time individual primitives;
-* standalone (``python benchmarks/bench_micro.py`` or via
-  ``harness.py --update-baseline --bench micro``) :func:`run` times the
-  two hot-path primitives the compiled-assets work optimised —
-  blocklist matching (interpreted vs. Aho–Corasick-compiled) and
-  encoding-chain enumeration — and writes a harness
-  :class:`~harness.BenchReport` so the registry can gate them against a
-  committed ``BENCH_micro.json`` baseline.
+Run under pytest (``PYTHONPATH=src pytest benchmarks/bench_micro.py``):
+each pytest-benchmark case times one primitive.  Whole-study and
+per-layer host cost is the benchmark suite's job (see
+``benchmarks/suite/README.md``).
 """
-
-import os
-import sys
-
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                    "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
 
 import pytest
 
@@ -82,18 +66,6 @@ def test_bench_blocklist_miss(benchmark):
     assert not result.blocked
 
 
-def test_bench_blocklist_match_compiled(benchmark):
-    rules = RuleSet.from_text(easyprivacy_text()).compile()
-    result = benchmark(rules.match, _HIT_CONTEXT)
-    assert result.blocked
-
-
-def test_bench_blocklist_miss_compiled(benchmark):
-    rules = RuleSet.from_text(easyprivacy_text()).compile()
-    result = benchmark(rules.match, _MISS_CONTEXT)
-    assert not result.blocked
-
-
 def test_bench_chain_enumeration_cold(benchmark):
     """Full encoding-chain enumeration with a cold apply_chain memo."""
     def build():
@@ -130,107 +102,3 @@ def test_bench_caching_resolver(benchmark, study_spec):
 
     benchmark(lookup)
     assert resolver.stats.hit_ratio > 0.9
-
-
-# ---------------------------------------------------------------------------
-# Standalone harness mode: the two compiled-assets hot-path primitives,
-# recorded into the baseline registry as bench "micro".
-# ---------------------------------------------------------------------------
-
-OUT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out",
-                        "BENCH_micro.json")
-
-#: Passes over the URL workload per matcher measurement — sized so each
-#: case clears the registry's 0.05s noise floor on CI hardware.
-MATCH_PASSES = 2000
-
-#: Cold token-set builds per enumeration measurement.
-ENUMERATION_BUILDS = 3
-
-
-def _match_workload():
-    """A deterministic hit/miss mix of request contexts.
-
-    Derived from the study's real endpoint shapes (tracking pixels,
-    attribution beacons) plus benign lookalikes, expanded with varying
-    paths so the matcher sees distinct URLs rather than one memoised
-    string.
-    """
-    shapes = [
-        ("https://www.facebook.com/tr?ev=identify&udff%%5Bem%%5D=v%d",
-         "image"),
-        ("https://bat.bing.com/action/0?ti=4%d&evt=pageLoad", "script"),
-        ("https://px.ads.linkedin.com/collect?pid=1%d&fmt=gif", "image"),
-        ("https://api.custora.com/v1/track?uid=u%d", "image"),
-        ("https://cdn.shopcorp.example/assets/app-%d.js", "script"),
-        ("https://static.shop.example/img/product-%d.jpg", "image"),
-    ]
-    contexts = []
-    for i in range(24):
-        template, resource = shapes[i % len(shapes)]
-        contexts.append(RequestContext(
-            url=template % i, resource_type=resource,
-            page_domain="shop.example", is_third_party=True))
-    return contexts
-
-
-def run(quick=True, out_path=OUT_PATH):
-    """Time the hot-path primitives; returns a harness BenchReport.
-
-    ``quick`` is accepted for harness-runner symmetry; the micro sweep
-    is already CI-sized, so it is ignored.
-    """
-    from harness import BenchCase, BenchReport, timed
-
-    del quick
-    report = BenchReport(name="micro")
-    rules = RuleSet.from_text(easyprivacy_text())
-    compiled = rules.compile()
-    contexts = _match_workload()
-    # The compiled engine must agree with the interpreted one before
-    # its timing is worth recording.
-    for context in contexts:
-        assert compiled.match(context) == rules.match(context), (
-            "compiled/interpreted matcher disagree on %s" % context.url)
-
-    wall = {}
-    for label, engine in (("blocklist-match/interpreted", rules),
-                          ("blocklist-match/compiled", compiled)):
-        with timed() as timer:
-            for _ in range(MATCH_PASSES):
-                for context in contexts:
-                    engine.match(context)
-        wall[label] = timer.seconds
-        case = report.add(BenchCase(
-            label=label, wall_seconds=timer.seconds,
-            items=MATCH_PASSES * len(contexts),
-            params={"passes": MATCH_PASSES, "urls": len(contexts),
-                    "filters": len(rules)}))
-        print("%-32s %7.3fs  %8.0f matches/s"
-              % (case.label, case.wall_seconds, case.items_per_second))
-    if wall["blocklist-match/compiled"] > 0:
-        report.note("interpreted/compiled wall ratio: %.2fx (>1 means the "
-                    "compiled engine is faster on this workload)"
-                    % (wall["blocklist-match/interpreted"]
-                       / wall["blocklist-match/compiled"]))
-
-    token_count = 0
-    with timed() as timer:
-        for _ in range(ENUMERATION_BUILDS):
-            hashes.clear_chain_cache()
-            tokens = CandidateTokenSet(DEFAULT_PERSONA, recorder=None)
-            token_count = tokens.token_count
-    case = report.add(BenchCase(
-        label="chain-enumeration/cold", wall_seconds=timer.seconds,
-        items=ENUMERATION_BUILDS * token_count,
-        params={"builds": ENUMERATION_BUILDS, "tokens": token_count}))
-    print("%-32s %7.3fs  %8.0f tokens/s"
-          % (case.label, case.wall_seconds, case.items_per_second))
-
-    path = report.write(out_path)
-    print("wrote %s" % path)
-    return report
-
-
-if __name__ == "__main__":
-    sys.exit(0 if run().cases else 1)

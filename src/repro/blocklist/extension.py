@@ -27,13 +27,8 @@ class AdblockExtension:
 
     @classmethod
     def with_default_lists(cls) -> "AdblockExtension":
-        """EasyList + EasyPrivacy, the common privacy-conscious setup.
-
-        The combined set is compiled (see
-        :meth:`~repro.blocklist.matcher.RuleSet.compile`): an in-browser
-        blocker sits on the per-request hot path of a whole crawl.
-        """
-        return cls(rules=default_rule_sets()["combined"].compile(),
+        """EasyList + EasyPrivacy, the common privacy-conscious setup."""
+        return cls(rules=default_rule_sets()["combined"],
                    name="easylist+easyprivacy")
 
     def filter_request(self, url: str, resource_type: str,

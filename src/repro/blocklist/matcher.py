@@ -4,20 +4,8 @@ Evaluates parsed ABP filters against requests the way content blockers do:
 find any blocking filter that matches the address and its context options,
 then let a matching exception (``@@``) rule override it.  An index over
 filter tokens keeps matching fast enough to scan thousands of captured
-requests against thousands of rules.
-
-Two matching engines share one semantics:
-
-* :class:`RuleSet` probes its token index once per URL token (regex
-  tokenisation plus a dict lookup each) — simple, and the reference.
-* :class:`CompiledRuleSet` (``RuleSet.compile()``) runs all index
-  tokens through one :class:`~repro.core.aho.AhoCorasick` automaton in
-  a single pass over the URL.  Candidate enumeration — and therefore
-  every :class:`MatchResult` — is provably identical to the reference
-  (``tests/test_compiled_matcher.py`` holds the equivalence property):
-  an automaton hit only counts when it spans a *maximal* token run of
-  the URL, which is exactly when the regex tokeniser would have
-  produced that token.
+requests against thousands of rules: :class:`RuleSet` probes its token
+index once per URL token (regex tokenisation plus a dict lookup each).
 """
 
 from __future__ import annotations
@@ -26,15 +14,10 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from ..core.aho import AhoCorasick
 from ..psl import default_list
 from .parser import Filter, parse_filter_list
 
 _TOKEN_RE = re.compile(r"[a-z0-9%]{3,}")
-
-#: The character class of `_TOKEN_RE`, for the compiled matcher's
-#: maximal-run boundary checks.
-_TOKEN_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789%")
 
 
 @dataclass(frozen=True)
@@ -160,66 +143,3 @@ class RuleSet:
             url=url, resource_type=resource_type, page_domain=page_domain,
             is_third_party=bool(is_third_party))
         return self.match(context).blocked
-
-    def compile(self) -> "CompiledRuleSet":
-        """Freeze this rule set into a :class:`CompiledRuleSet`.
-
-        The compiled set matches every request identically (same
-        :class:`MatchResult`, same filter objects) but enumerates
-        candidate filters with one Aho–Corasick pass over the URL
-        instead of a regex findall plus one dict probe per token.
-        """
-        return CompiledRuleSet(self)
-
-
-class CompiledRuleSet(RuleSet):
-    """An immutable :class:`RuleSet` with automaton-driven candidates.
-
-    Shares the source set's filter lists and token index (no copies)
-    and builds one :class:`AhoCorasick` automaton over the distinct
-    index tokens.  During a match the URL is scanned once; an
-    automaton hit at ``[start, end)`` counts only when it spans a
-    *maximal* token run — i.e. the characters just outside the hit are
-    not in the token class — which reproduces ``_TOKEN_RE.findall``
-    exactly: findall yields maximal runs in position order, maximal
-    runs cannot overlap, and for each run only the pattern equal to
-    the whole run is accepted, so candidate order (bucket insertion
-    order within each token, tokens in URL order, dedupe by identity,
-    unindexed filters last) is preserved and ``match()`` — which takes
-    the *first* matching blocking filter — returns identical results.
-    """
-
-    def __init__(self, source: RuleSet) -> None:
-        # Deliberately no super().__init__: share, don't copy.
-        self.name = source.name
-        self._blocking = source._blocking
-        self._exceptions = source._exceptions
-        self._block_index = source._block_index
-        self._unindexed_blocking = source._unindexed_blocking
-        self._automaton = AhoCorasick()
-        for token in self._block_index:
-            self._automaton.add(token, payload=token)
-        self._automaton.build()
-
-    def add(self, filter_: Filter) -> None:
-        raise TypeError(
-            "CompiledRuleSet is immutable; add filters to the source "
-            "RuleSet and call compile() again")
-
-    def _candidates(self, url: str) -> Iterable[Filter]:
-        lowered = url.lower()
-        length = len(lowered)
-        index = self._block_index
-        seen: Set[int] = set()
-        for end, pattern, _ in self._automaton.iter_hits(lowered):
-            start = end - len(pattern)
-            if start > 0 and lowered[start - 1] in _TOKEN_CHARS:
-                continue
-            if end < length and lowered[end] in _TOKEN_CHARS:
-                continue
-            for filter_ in index.get(pattern, ()):
-                if id(filter_) not in seen:
-                    seen.add(id(filter_))
-                    yield filter_
-        for filter_ in self._unindexed_blocking:
-            yield filter_

@@ -10,7 +10,7 @@ from .analysis import (
     LeakRelationship,
     encoding_label,
 )
-from .detector import DetectionResult, LeakDetector, leaking_requests
+from .detector import DetectionResult, LeakDetector
 from .heuristics import (
     HeuristicDetector,
     SuspectedLeak,
@@ -83,5 +83,4 @@ __all__ = [
     "TokenSetConfig",
     "channel_for_location",
     "encoding_label",
-    "leaking_requests",
 ]

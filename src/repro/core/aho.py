@@ -91,26 +91,6 @@ class AhoCorasick(Generic[Payload]):
                 yield Match(start=index - len(pattern) + 1, end=index + 1,
                             pattern=pattern, payload=payload)
 
-    def iter_hits(self, text: str) -> Iterator[Tuple[int, str, Payload]]:
-        """Yield ``(end, pattern, payload)`` per occurrence, cheaply.
-
-        The low-overhead variant of :meth:`iter_matches` for hot loops:
-        same occurrences in the same order, but plain tuples instead of
-        :class:`Match` instances (``start`` is ``end - len(pattern)``).
-        """
-        if not self._built:
-            self.build()
-        root = self._root
-        node = root
-        for index, char in enumerate(text):
-            while node is not root and char not in node.children:
-                node = node.fail
-            node = node.children.get(char, root)
-            if node.outputs:
-                end = index + 1
-                for pattern, payload in node.outputs:
-                    yield end, pattern, payload
-
     def find_all(self, text: str) -> List[Match[Payload]]:
         """All matches as a list."""
         return list(self.iter_matches(text))

@@ -1,11 +1,10 @@
 """Compiled study assets: build once, match many (the hot-path API).
 
 Every stage of a study hammers the same immutable inputs — the persona's
-candidate token set, the tracker catalog, the PSL, the blocklists — yet
-the historical code paths rebuilt them per call: ``Study.analyze``
-enumerated thousands of encoding chains per invocation, every shard
-rebuilt its population and token automaton from scratch, and the Table 4
-evaluator re-parsed filter lists per run.  :class:`CompiledStudyAssets`
+candidate token set, the tracker catalog, the PSL — yet the historical
+code paths rebuilt them per call: ``Study.analyze`` enumerated thousands
+of encoding chains per invocation, and every shard rebuilt its
+population and token automaton from scratch.  :class:`CompiledStudyAssets`
 is the one public construction path that replaces those implicit
 rebuilds: a study compiles its assets once and threads them
 ``Study.crawl → supervisor/parallel → runner → detector``.
@@ -15,8 +14,8 @@ Two classes split the work across the process boundary:
 * :class:`CompiledStudyAssets` — the live, *unpicklable-by-intent*
   bundle: the built population, the lazily-compiled
   :class:`~repro.core.tokens.CandidateTokenSet` (built recorder-free so
-  it can be reused under any trace; see :meth:`replay_token_funnel`),
-  compiled blocklists, detector factories.
+  it can be reused under any trace; see :meth:`replay_token_funnel`)
+  and detector factories.
 * :class:`StudyAssetsSpec` — the compact picklable recipe
   (population spec + token config) a :class:`~repro.crawler.parallel.
   ShardJob` carries instead of heavyweight live objects.  Workers call
@@ -61,7 +60,6 @@ class CompiledStudyAssets:
         self.token_config = token_config
         self.psl = psl or default_list()
         self._tokens: Optional[CandidateTokenSet] = None
-        self._compiled_rules: Dict[int, object] = {}
 
     @classmethod
     def for_population(cls, population, *, population_spec=None,
@@ -133,22 +131,6 @@ class CompiledStudyAssets:
                             psl=self.psl,
                             scan_first_party=scan_first_party,
                             locations=locations, recorder=recorder)
-
-    def compile_rules(self, rules):
-        """Compile (and memoise) a blocklist :class:`~repro.blocklist.
-        matcher.RuleSet` onto the Aho–Corasick engine.
-
-        Already-compiled sets pass through unchanged; each distinct
-        source set is compiled at most once per assets bundle.
-        """
-        from ..blocklist.matcher import CompiledRuleSet
-        if isinstance(rules, CompiledRuleSet):
-            return rules
-        compiled = self._compiled_rules.get(id(rules))
-        if compiled is None:
-            compiled = rules.compile()
-            self._compiled_rules[id(rules)] = compiled
-        return compiled
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ Given the raw capture log of a crawl, the detector:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -55,12 +54,9 @@ class _Attribution:
 
 @dataclass
 class DetectionResult:
-    """Everything one pass over a capture log produces.
-
-    Replaces the old ``detect()`` + ``leaking_requests()`` pair, which
-    walked (and re-scanned) the log twice to get events and leaking
-    entries separately.
-    """
+    """Everything one pass over a capture log produces: the leak events
+    and the entries that carried them (the paper's 1,522 leaking
+    requests), without re-scanning the log."""
 
     events: List[LeakEvent]
     leaking_entries: List[CaptureEntry]
@@ -108,16 +104,14 @@ class LeakDetector:
 
     # -- public API --------------------------------------------------------
 
-    def run(self, log: CaptureLog, include_blocked: bool = False,
-            record: bool = True) -> DetectionResult:
+    def run(self, log: CaptureLog,
+            include_blocked: bool = False) -> DetectionResult:
         """One pass over a capture log: events *and* leaking entries.
 
-        With a recorder attached (and ``record`` true), the §4.1
-        detection funnel becomes visible as counters: how many entries
-        were scanned vs. skipped as blocked, how many produced at least
-        one event, and how many events survived in total.  ``record``
-        exists so deprecated wrappers can reuse the pass without
-        double-emitting counters.
+        With a recorder attached, the §4.1 detection funnel becomes
+        visible as counters: how many entries were scanned vs. skipped
+        as blocked, how many produced at least one event, and how many
+        events survived in total.
         """
         events: List[LeakEvent] = []
         leaking_entries: List[CaptureEntry] = []
@@ -131,12 +125,11 @@ class LeakDetector:
             if found:
                 leaking_entries.append(entry)
             events.extend(found)
-        if record:
-            recorder = self.recorder
-            recorder.count("detector.entries_scanned", scanned)
-            recorder.count("detector.entries_blocked_skipped", skipped)
-            recorder.count("detector.entries_leaking", len(leaking_entries))
-            recorder.count("detector.events", len(events))
+        recorder = self.recorder
+        recorder.count("detector.entries_scanned", scanned)
+        recorder.count("detector.entries_blocked_skipped", skipped)
+        recorder.count("detector.entries_leaking", len(leaking_entries))
+        recorder.count("detector.events", len(events))
         return DetectionResult(events=events, leaking_entries=leaking_entries,
                                entries_scanned=scanned,
                                entries_blocked_skipped=skipped)
@@ -269,18 +262,3 @@ class LeakDetector:
             return origin.surface_form
         return hashes.apply_chain(origin.surface_form, origin.chain)
 
-
-def leaking_requests(log: CaptureLog, detector: LeakDetector) -> List[CaptureEntry]:
-    """Capture entries containing at least one leak (paper's 1,522).
-
-    .. deprecated::
-        Use :meth:`LeakDetector.run`, whose :class:`DetectionResult`
-        carries the leaking entries from the same single pass that
-        produced the events, instead of re-scanning the log.
-    """
-    warnings.warn(
-        "leaking_requests() is deprecated; use LeakDetector.run(log)"
-        ".leaking_entries, which shares the detection pass",
-        DeprecationWarning, stacklevel=2)
-    # record=False: the historical helper never emitted funnel counters.
-    return detector.run(log, record=False).leaking_entries

@@ -23,12 +23,12 @@ fingerprint.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..browser import BrowserProfile, RetryPolicy, vanilla_firefox
 from ..crawler import CrawlDataset, CrawlSession, StudyCrawler
+from ..crawler.runner import step_session
 from ..mailsim import KIND_MARKETING
 from ..netsim.faults import FaultPlan
 from ..obs import NULL_RECORDER, Recorder
@@ -86,10 +86,10 @@ class StudyConfig:
     ``workers > 1``.  Both are inert on the serial path.
 
     ``assets`` (a :class:`~repro.core.assets.CompiledStudyAssets`)
-    supplies a prebuilt compile-once bundle — token automaton, compiled
-    blocklists, PSL — for the hot path; ``None`` (the default) lets the
-    study compile its own on first use.  Pass one to share compiled
-    state across several studies over the same population.
+    supplies a prebuilt compile-once bundle — token automaton, PSL — for
+    the hot path; ``None`` (the default) lets the study compile its own
+    on first use.  Pass one to share compiled state across several
+    studies over the same population.
     """
 
     _FIELDS = ("profile", "token_config", "fault_plan", "retry_policy",
@@ -341,41 +341,8 @@ class Study:
             else:
                 session = self.crawler().start()
             emit = self.config.progress
-            total = session.crawled_count + len(session.remaining_sites)
-            retried = quarantined = 0
-            sampler = None
-            if emit is not None and self.config.resources:
-                from ..obs.runtime import ResourceSampler
-                sampler = ResourceSampler()
-            while not session.done:
-                entries_before = len(session.browser.log.entries)
-                result = session.step()
-                if checkpoint:
-                    session.save(checkpoint)
-                if emit is not None and result is not None:
-                    from ..crawler.flows import STATUS_QUARANTINED
-                    from ..obs.progress import step_heartbeat
-                    retried += 1 if result.attempts > 1 else 0
-                    quarantined += (1 if result.status == STATUS_QUARANTINED
-                                    else 0)
-                    emit(step_heartbeat(
-                        shard=0, crawled=session.crawled_count,
-                        total=total, domain=result.site,
-                        status=result.status, attempts=result.attempts,
-                        requests=(len(session.browser.log.entries)
-                                  - entries_before),
-                        retried=retried, quarantined=quarantined,
-                        resources=(sampler.sample() if sampler is not None
-                                   else None)))
-            if emit is not None:
-                from ..obs.progress import final_heartbeat
-                emit(final_heartbeat(shard=0,
-                                     crawled=session.crawled_count,
-                                     total=total, retried=retried,
-                                     quarantined=quarantined,
-                                     resources=(sampler.sample()
-                                                if sampler is not None
-                                                else None)))
+            step_session(session, shard=0, checkpoint=checkpoint, emit=emit,
+                         resources=emit is not None and self.config.resources)
             dataset = session.finish()
             if recorder is not None and session.recorder is not recorder:
                 # A resumed session carries its own (pickled) recorder;
@@ -401,26 +368,6 @@ class Study:
                                resources=self.config.resources,
                                supervision=self.config.supervision,
                                chaos=self.config.chaos)
-
-    # -- deprecated crawl surfaces --------------------------------------
-
-    def parallel_crawler(self, checkpoint_dir: Optional[str] = None):
-        """Deprecated: use :meth:`crawl` (or build a
-        :class:`~repro.crawler.ParallelCrawler` directly)."""
-        warnings.warn(
-            "Study.parallel_crawler() is deprecated; use Study.crawl(), "
-            "which dispatches on config.workers",
-            DeprecationWarning, stacklevel=2)
-        return self._parallel_engine(checkpoint_dir=checkpoint_dir)
-
-    def start_crawl(self) -> CrawlSession:
-        """Deprecated: use :meth:`crawl` (or ``crawler().start()`` for a
-        stepwise session)."""
-        warnings.warn(
-            "Study.start_crawl() is deprecated; use Study.crawl() for a "
-            "full crawl or Study.crawler().start() for a stepwise session",
-            DeprecationWarning, stacklevel=2)
-        return self.crawler().start()
 
     # -- the pipeline ----------------------------------------------------
 

@@ -56,13 +56,11 @@ from ..mailsim import Mailbox
 from ..netsim import CaptureLog
 from ..netsim.faults import FaultEvent, FaultPlan
 from ..obs import Recorder, merge_recorders
-from ..obs.progress import HeartbeatEvent, final_heartbeat, step_heartbeat
-from ..obs.runtime import ResourceSampler
+from ..obs.progress import HeartbeatEvent
 from ..reporting.redact import redact_email
 from ..websim.population import Population
 from .chaos import ChaosPlan
-from .flows import STATUS_QUARANTINED
-from .runner import CrawlDataset, CrawlSession, StudyCrawler
+from .runner import CrawlDataset, CrawlSession, StudyCrawler, step_session
 from .sharding import ShardInfo, ShardLayout
 from .supervisor import (
     IncompleteCrawlError,
@@ -251,41 +249,9 @@ def run_shard_job(job: ShardJob,
     finishes with the identical dataset.
     """
     session = _session_for_job(job)
-    shard_index = session.shard.index if session.shard is not None else 0
-    total = session.crawled_count + len(session.remaining_sites)
-    retried = 0
-    quarantined = 0
-    # Worker-local and built after the session: sampling reads OS
-    # counters only (never crawl state), so the dataset and trace are
-    # bit-identical with telemetry on or off.
-    sampler = ResourceSampler() if job.resources else None
-    final_sample: Optional[Dict[str, float]] = None
-    while not session.done:
-        entries_before = len(session.browser.log.entries)
-        result = session.step()
-        if job.checkpoint_path:
-            session.save(job.checkpoint_path)
-        if emit is not None and result is not None:
-            if result.attempts > 1:
-                retried += 1
-            if result.status == STATUS_QUARANTINED:
-                quarantined += 1
-            emit(step_heartbeat(
-                shard=shard_index, crawled=session.crawled_count,
-                total=total, domain=result.site, status=result.status,
-                attempts=result.attempts,
-                requests=len(session.browser.log.entries) - entries_before,
-                retried=retried, quarantined=quarantined,
-                resources=sampler.sample() if sampler else None))
-    if sampler is not None:
-        # One sample shared by the final heartbeat and the ShardResult,
-        # so progress.jsonl and the manifest reconcile exactly.
-        final_sample = sampler.sample()
-    if emit is not None:
-        emit(final_heartbeat(shard=shard_index,
-                             crawled=session.crawled_count, total=total,
-                             retried=retried, quarantined=quarantined,
-                             resources=final_sample))
+    final_sample = step_session(session, shard=session.shard.index,
+                                checkpoint=job.checkpoint_path, emit=emit,
+                                resources=job.resources)
     dataset = session.finish()
     if job.checkpoint_path:
         # Persist the finished state too: a re-run of an already-complete

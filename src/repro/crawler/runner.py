@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..browser import (
     Browser,
@@ -36,6 +36,8 @@ from ..mailsim import ConfirmationMailHook, Mailbox
 from ..netsim import CaptureLog
 from ..netsim.faults import FaultPlan
 from ..obs import NULL_RECORDER, Recorder
+from ..obs.progress import HeartbeatEvent, final_heartbeat, step_heartbeat
+from ..obs.runtime import ResourceSampler
 from ..websim.population import Population
 from ..websim.site import Website
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -336,6 +338,53 @@ class CrawlSession:
                 "count and same site partition)"
                 % (path, found.describe(), expect_shard.describe()))
         return session
+
+
+def step_session(session: CrawlSession, *, shard: int,
+                 checkpoint: Optional[str] = None,
+                 emit: Optional[Callable[[HeartbeatEvent], None]] = None,
+                 resources: bool = False) -> Optional[Dict[str, float]]:
+    """Step ``session`` until no site is left; the caller finishes it.
+
+    The one session-stepping loop behind both crawl engines.  Saves a
+    checkpoint to ``checkpoint`` after every site when given, and sends
+    ``emit`` one :class:`~repro.obs.progress.HeartbeatEvent` per crawled
+    site, stamped with ``shard`` and running retried/quarantined tallies,
+    then a final completion marker.  ``resources`` attaches a
+    :class:`~repro.obs.runtime.ResourceSampler` delta to each heartbeat
+    and returns the final sample (``None`` without one).  Heartbeats and
+    samples only *read* crawl state: the dataset and the trace are
+    bit-identical with them on or off.
+    """
+    total = session.crawled_count + len(session.remaining_sites)
+    retried = quarantined = 0
+    sampler = ResourceSampler() if resources else None
+    while not session.done:
+        entries_before = len(session.browser.log.entries)
+        result = session.step()
+        if checkpoint:
+            session.save(checkpoint)
+        if emit is not None and result is not None:
+            if result.attempts > 1:
+                retried += 1
+            if result.status == STATUS_QUARANTINED:
+                quarantined += 1
+            emit(step_heartbeat(
+                shard=shard, crawled=session.crawled_count,
+                total=total, domain=result.site, status=result.status,
+                attempts=result.attempts,
+                requests=len(session.browser.log.entries) - entries_before,
+                retried=retried, quarantined=quarantined,
+                resources=sampler.sample() if sampler is not None else None))
+    # One sample shared by the final heartbeat and the caller, so
+    # progress.jsonl and the manifest reconcile exactly.
+    final_sample = sampler.sample() if sampler is not None else None
+    if emit is not None:
+        emit(final_heartbeat(shard=shard, crawled=session.crawled_count,
+                             total=total, retried=retried,
+                             quarantined=quarantined,
+                             resources=final_sample))
+    return final_sample
 
 
 class StudyCrawler:

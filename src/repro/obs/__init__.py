@@ -10,9 +10,9 @@ every worker count.
 Entry points: pass a :class:`Recorder` via
 ``StudyConfig.with_observability()`` (library), ``--trace out.jsonl``
 and ``--progress`` on ``repro-study`` (CLI), ``repro-trace summarize``
-/ ``repro-trace diff`` to read and compare the exported JSONL, and
-:mod:`repro.obs.regress` to gate bench reports against the committed
-baselines under ``benchmarks/baselines/``.
+/ ``repro-trace diff`` to read and compare the exported JSONL.  Host
+cost (wall and CPU time per layer) is measured from outside the
+package, by the benchmark suite under ``benchmarks/suite/``.
 """
 
 from .clock import Clock, TickClock, WallClock
@@ -59,16 +59,6 @@ from .recorder import (
     Span,
     merge_recorders,
 )
-from .regress import (
-    BaselineError,
-    BaselineRegistry,
-    RegressionFinding,
-    RegressionReport,
-    check_ordering,
-    check_report,
-    fold_report,
-    new_baseline,
-)
 from .runtime import (
     ResourceSampler,
     RuntimeMetrics,
@@ -79,8 +69,6 @@ from .runtime import (
 )
 
 __all__ = [
-    "BaselineError",
-    "BaselineRegistry",
     "Clock",
     "Counter",
     "DEFAULT_BUCKETS",
@@ -95,8 +83,6 @@ __all__ = [
     "NullRecorder",
     "ProgressAggregator",
     "Recorder",
-    "RegressionFinding",
-    "RegressionReport",
     "ResourceSampler",
     "RuntimeMetrics",
     "Span",
@@ -106,13 +92,9 @@ __all__ = [
     "TraceError",
     "WallClock",
     "aggregate_resources",
-    "check_ordering",
-    "check_report",
     "diff_traces",
-    "fold_report",
     "folded_lines",
     "merge_recorders",
-    "new_baseline",
     "parse_exposition",
     "parse_fail_on",
     "read_progress_log",

@@ -12,13 +12,13 @@ Usage::
     repro-trace flame out.jsonl out.folded     # folded stacks for
                                                # flamegraph.pl/speedscope
 
-Traces are produced by ``repro-study study --trace out.jsonl`` (and by
-``benchmarks/bench_parallel_crawl.py --trace``).  ``diff`` aligns the
+Traces are produced by ``repro-study study --trace out.jsonl`` (or by
+:func:`repro.obs.write_trace` from library code).  ``diff`` aligns the
 two span trees by path (study > stage > shard > site > request) and
 reports per-stage timing deltas, counter/gauge/histogram deltas and
 added/removed span subtrees; with ``--fail-on`` it exits 1 when any
 threshold trips — two traces of the same seed and config diff empty,
-so the command doubles as a reproducibility and perf-regression gate.
+so the command doubles as a reproducibility gate.
 
 Exit codes: 0 clean (or report-only), 1 a ``--fail-on`` threshold
 tripped, 2 unreadable input or bad arguments.

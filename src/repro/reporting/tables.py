@@ -2,7 +2,8 @@
 
 Each renderer prints the measured structure in the paper's layout, with an
 optional "paper" column for side-by-side comparison — the format used by
-the benchmark harness and EXPERIMENTS.md.
+the per-table benchmarks (``benchmarks/bench_table*.py``) and
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
 for the crawl/analyze hot path's shared state; these tests pin down
 
 * the API surface (construction, spec round-trip, process memo, seeding,
-  eviction, rule-set compilation, detector/token factories),
+  eviction, detector/token factories),
 * trace equivalence (a reused compiled token set replays the exact
   funnel a fresh one would have recorded), and
 * the hard invariant: the merged ``CrawlDataset.fingerprint()`` is
@@ -14,12 +14,8 @@ for the crawl/analyze hot path's shared state; these tests pin down
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro.blocklist import RuleSet, easyprivacy_text
-from repro.blocklist.matcher import CompiledRuleSet
 from repro.core import CompiledStudyAssets, Study, StudyConfig
 from repro.core.assets import (
     _PROCESS_ASSETS,
@@ -27,7 +23,7 @@ from repro.core.assets import (
     StudyAssetsSpec,
     clear_process_assets,
 )
-from repro.core.detector import DetectionResult, leaking_requests
+from repro.core.detector import DetectionResult
 from repro.core.tokens import CandidateTokenSet
 from repro.crawler import GeneratedPopulationSpec, ParallelCrawler
 from repro.netsim.faults import FaultPlan
@@ -151,15 +147,6 @@ def test_memo_eviction_is_bounded():
     assert len(_PROCESS_ASSETS) == _PROCESS_ASSETS_LIMIT
 
 
-def test_compile_rules_memoises_and_passes_compiled_through():
-    assets = _assets(0)
-    rules = RuleSet.from_text(easyprivacy_text())
-    compiled = assets.compile_rules(rules)
-    assert isinstance(compiled, CompiledRuleSet)
-    assert assets.compile_rules(rules) is compiled
-    assert assets.compile_rules(compiled) is compiled
-
-
 # ---------------------------------------------------------------------------
 # Trace equivalence: compiled state replays the exact inline funnel.
 # ---------------------------------------------------------------------------
@@ -192,7 +179,7 @@ def test_analyze_trace_identical_with_and_without_assets():
 
 
 # ---------------------------------------------------------------------------
-# Detector: single-pass results and the deprecated helper.
+# Detector: single-pass results.
 # ---------------------------------------------------------------------------
 
 def test_detector_run_is_one_pass_over_detect():
@@ -207,16 +194,3 @@ def test_detector_run_is_one_pass_over_detect():
     assert detection.leaking_entry_count == len(detection.leaking_entries)
     assert detection.entries_scanned <= len(dataset.log.entries)
 
-
-def test_leaking_requests_is_a_deprecated_wrapper():
-    assets = _assets(0)
-    dataset = ParallelCrawler(_spec(0), workers=1,
-                              num_shards=_NUM_SHARDS,
-                              assets=assets).crawl()
-    detector = assets.detector()
-    expected = detector.run(dataset.log).leaking_entries
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = leaking_requests(dataset.log, detector)
-    assert legacy == expected
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)

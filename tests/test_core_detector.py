@@ -4,7 +4,6 @@ import pytest
 
 from repro import hashes
 from repro.core import CandidateTokenSet, LeakDetector
-from repro.core.detector import leaking_requests
 from repro.core.leakmodel import (
     CHANNEL_COOKIE,
     CHANNEL_PAYLOAD,
@@ -190,4 +189,4 @@ def test_leaking_requests_counts_entries(plain_detector):
     log = CaptureLog()
     log.record(_entry("https://t.example/p?uid=%s" % SHA256_TOKEN))
     log.record(_entry("https://t.example/p?uid=clean000000"))
-    assert len(leaking_requests(log, plain_detector)) == 1
+    assert plain_detector.run(log).leaking_entry_count == 1

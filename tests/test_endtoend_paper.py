@@ -12,7 +12,6 @@ EXPERIMENTS.md) get tolerance-based assertions.
 
 import pytest
 
-from repro.core.detector import leaking_requests
 from repro.datasets import paper
 from repro.tracking import PersistenceAnalyzer
 
@@ -86,7 +85,7 @@ def test_senders_with_3plus(analysis):
 
 
 def test_leaking_request_volume(crawl, detector):
-    count = len(leaking_requests(crawl.log, detector))
+    count = detector.run(crawl.log).leaking_entry_count
     # Same order of magnitude and within ~10% of the paper's 1,522.
     assert abs(count - paper.LEAKING_REQUESTS) / paper.LEAKING_REQUESTS < 0.10
 

@@ -219,19 +219,19 @@ def test_seeded_violation_under_obs_fails_gate(tmp_path, capsys):
 
 # -- the PR-5 observability modules stay inside both scopes ---------------
 #
-# Scope matching is by dotted prefix, so repro.obs.diff / .regress /
-# .progress and repro.crawler.parallel are covered automatically — but
-# that coverage is itself a contract worth pinning: heartbeat payloads
-# cross the multiprocessing boundary (PKL301–303) and the regression
-# gate must never read the host clock (DET1xx).
+# Scope matching is by dotted prefix, so repro.obs.diff / .progress and
+# repro.crawler.parallel are covered automatically — but that coverage
+# is itself a contract worth pinning: heartbeat payloads cross the
+# multiprocessing boundary (PKL301–303) and the trace diff must never
+# read the host clock (DET1xx).
 
 
 def test_new_obs_submodules_are_in_both_scopes():
     from repro.statan.engine import ModuleContext
     from repro.statan.rules.determinism import DETERMINISM_SCOPE
     from repro.statan.rules.pickle_safety import PICKLE_SCOPE
-    for module in ("repro.obs.diff", "repro.obs.regress",
-                   "repro.obs.progress", "repro.crawler.parallel"):
+    for module in ("repro.obs.diff", "repro.obs.progress",
+                   "repro.crawler.parallel"):
         ctx = ModuleContext(path="test.py", source="", module=module)
         assert ctx.module_matches(DETERMINISM_SCOPE), module
         assert ctx.module_matches(PICKLE_SCOPE), module
@@ -288,10 +288,10 @@ def test_seeded_local_class_in_crawler_fails_gate(tmp_path, capsys):
     assert code == EXIT_FINDINGS
 
 
-def test_seeded_clock_read_in_regress_fails_gate(tmp_path, capsys):
-    """DET101 covers the regression gate: baselines and history carry
-    caller-supplied timestamps, never a clock read of their own."""
-    code = _seed(tmp_path, "repro/obs/regress_seeded.py", textwrap.dedent("""
+def test_seeded_clock_read_in_obs_fails_gate(tmp_path, capsys):
+    """DET101 covers repro.obs: a trace diff compares recorded values
+    and stamps its report with none of its own clock reads."""
+    code = _seed(tmp_path, "repro/obs/diff_seeded.py", textwrap.dedent("""
         import time
 
         def stamp_entry(entry):

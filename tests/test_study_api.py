@@ -1,15 +1,10 @@
 """The redesigned Study/StudyConfig surface: keyword-only config,
-constructor-injected population spec, Study.crawl() dispatch, and the
-deprecation shims for the old crawl entry points."""
+constructor-injected population spec, and Study.crawl() dispatch."""
 
 import pytest
 
 from repro.core import CrawlOutcome, Study, StudyConfig
-from repro.crawler import (
-    CrawlSession,
-    GeneratedPopulationSpec,
-    ParallelCrawler,
-)
+from repro.crawler import GeneratedPopulationSpec, ParallelCrawler
 from repro.obs import Recorder
 from repro.websim.generator import GeneratorConfig
 
@@ -140,20 +135,7 @@ def test_crawl_rejects_foreign_resume_file(tmp_path):
         _study().crawl(resume=str(path))
 
 
-# -- deprecated wrappers -------------------------------------------------
-
-
-def test_start_crawl_is_deprecated_but_works():
-    with pytest.warns(DeprecationWarning, match="Study.crawl"):
-        session = _study().start_crawl()
-    assert isinstance(session, CrawlSession)
-    assert not session.done
-
-
-def test_parallel_crawler_is_deprecated_but_works():
-    with pytest.warns(DeprecationWarning, match="Study.crawl"):
-        engine = _study(workers=2).parallel_crawler()
-    assert isinstance(engine, ParallelCrawler)
+# -- deprecations ---------------------------------------------------------
 
 
 def test_crawl_itself_emits_no_deprecation_warning(recwarn):
