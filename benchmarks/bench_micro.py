@@ -31,17 +31,19 @@ def test_bench_token_set_build(benchmark):
 
 
 def test_bench_automaton_build(benchmark):
-    patterns = [hashes.apply_chain("user%d@mail.example" % i, ["sha256"])
-                for i in range(500)]
+    """The automaton over the default persona's real candidate tokens
+    (3,478 tokens, 176,080 characters)."""
+    patterns = CandidateTokenSet(DEFAULT_PERSONA).tokens()
 
     def build():
         automaton = AhoCorasick()
         for pattern in patterns:
-            automaton.add(pattern, None)
+            automaton.add(pattern, pattern)
         automaton.build()
         return automaton
 
-    benchmark(build)
+    automaton = benchmark.pedantic(build, rounds=3, iterations=1)
+    assert len(automaton) == len(patterns)
 
 
 _HIT_CONTEXT = RequestContext(

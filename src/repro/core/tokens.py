@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import hashes
 from ..obs import NULL_RECORDER, Recorder
@@ -109,8 +109,9 @@ class CandidateTokenSet:
                 # so each level is derived from the previous level's
                 # values with exactly one transform application per
                 # chain instead of re-walking the whole chain.  The
-                # enumeration order below is identical to the naive
-                # per-chain product in `_chains` — token insertion
+                # enumeration order below is the naive depth-by-depth
+                # product order (pinned by `test_chain_enumeration_order`
+                # in tests/test_core_persona_tokens.py) — token insertion
                 # order, and with it every downstream scan, must not
                 # change.
                 previous: Dict[Tuple[str, ...], str] = {(): form}
@@ -137,21 +138,6 @@ class CandidateTokenSet:
                         self._add_token(
                             token, TokenOrigin(pii_type, form, chain))
                     previous = level
-
-    def _chains(self, all_names: Sequence[str]) -> Iterable[Tuple[str, ...]]:
-        config = self.config
-        for depth in range(1, config.max_depth + 1):
-            if depth <= config.full_corpus_depth:
-                first_choices: Sequence[str] = all_names
-            else:
-                first_choices = config.chain_alphabet
-            if depth == 1:
-                for name in first_choices:
-                    yield (name,)
-                continue
-            for first in first_choices:
-                for rest in product(config.chain_alphabet, repeat=depth - 1):
-                    yield (first,) + rest
 
     def _add_token(self, token: str, origin: TokenOrigin) -> None:
         if len(token) < self.config.min_token_length:

@@ -1,5 +1,8 @@
 """Persona surface forms and candidate-token precomputation (§3.1)."""
 
+import gc
+from itertools import product
+
 import pytest
 
 from repro import hashes
@@ -124,3 +127,59 @@ def test_depth1_misses_multilayer_obfuscation():
                                 TokenSetConfig(max_depth=1))
     token = hashes.apply_chain(DEFAULT_PERSONA.email, ["md5", "sha256"])
     assert not shallow.origins_of(token)
+
+
+class _RecordingTokenSet(CandidateTokenSet):
+    """Records every candidate origin in the order it is generated."""
+
+    def __init__(self, *args, **kwargs):
+        self.generated = []
+        super().__init__(*args, **kwargs)
+
+    def _add_token(self, token, origin):
+        self.generated.append(origin)
+        super()._add_token(token, origin)
+
+
+def _product_order(config):
+    """The naive chain enumeration: depth by depth, each depth the
+    product of its first-transform choices and the chain alphabet."""
+    all_names = [t.name for t in hashes.all_transforms()]
+    chains = [()]
+    for depth in range(1, config.max_depth + 1):
+        if depth <= config.full_corpus_depth:
+            first_choices = all_names
+        else:
+            first_choices = config.chain_alphabet
+        for first in first_choices:
+            for rest in product(config.chain_alphabet, repeat=depth - 1):
+                chains.append((first,) + rest)
+    return chains
+
+
+@pytest.mark.parametrize("config", [
+    TokenSetConfig(),
+    TokenSetConfig(max_depth=2, full_corpus_depth=2),
+], ids=["default", "full-corpus-depth2"])
+def test_chain_enumeration_order(config):
+    # Token insertion order decides match order, and with it the order of
+    # detector events: the incremental per-level derivation must emit the
+    # chains of every surface form in the naive product order.
+    token_set = _RecordingTokenSet(DEFAULT_PERSONA, config)
+    form = DEFAULT_PERSONA.email
+    chains = [origin.chain for origin in token_set.generated
+              if origin.pii_type == PII_EMAIL and origin.surface_form == form]
+    assert chains == _product_order(config)
+
+
+def test_token_set_heap_footprint():
+    # The automaton keeps its states in flat int tables, so a token set
+    # adds a few objects per token to the collector, not a few per trie
+    # state (which was about 500k for this persona).
+    gc.collect()
+    before = len(gc.get_objects())
+    token_set = CandidateTokenSet(DEFAULT_PERSONA)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert token_set.token_count > 3000
+    assert added < 20_000

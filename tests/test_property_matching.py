@@ -15,6 +15,10 @@ _PATTERNS = st.lists(
 _TEXTS = st.text(alphabet=_ALPHABET, max_size=60)
 
 
+# Includes a non-BMP character, so transition keys use all 21 bits.
+_WIDE_ALPHABET = "ab\u00e9\U0001F600"
+
+
 def _naive(text, patterns):
     found = set()
     for pattern in patterns:
@@ -35,6 +39,34 @@ def test_aho_corasick_equals_naive_search(patterns, text):
         automaton.add(pattern, None)
     result = {(m.start, m.pattern) for m in automaton.find_all(text)}
     assert result == _naive(text, patterns)
+
+
+def _naive_ordered(text, patterns):
+    """Every occurrence, ordered as the automaton reports them: by end,
+    then longer pattern first, then insertion order."""
+    found = []
+    for order, pattern in enumerate(patterns):
+        start = text.find(pattern)
+        while start != -1:
+            found.append((start + len(pattern), -len(pattern), order,
+                          start, pattern))
+            start = text.find(pattern, start + 1)
+    found.sort()
+    return [(start, end, pattern, order)
+            for end, _, order, start, pattern in found]
+
+
+@given(st.lists(st.text(alphabet=_WIDE_ALPHABET, min_size=1, max_size=4),
+                min_size=1, max_size=8),
+       st.text(alphabet=_WIDE_ALPHABET, max_size=40))
+def test_aho_corasick_match_order_equals_naive(patterns, text):
+    # Patterns may repeat; each copy carries its own payload.
+    automaton = AhoCorasick()
+    for order, pattern in enumerate(patterns):
+        automaton.add(pattern, order)
+    result = [(m.start, m.end, m.pattern, m.payload)
+              for m in automaton.find_all(text)]
+    assert result == _naive_ordered(text, patterns)
 
 
 @given(_PATTERNS, _TEXTS)
