@@ -221,7 +221,7 @@ class ChaosMonkey:
         assert self.fault is not None
         if self.fault.kind == KIND_KILL:
             # Die the way a segfault dies: immediately, no cleanup, no
-            # result, no exception crossing the queue.
+            # result, no exception crossing the pipe.
             os._exit(CHAOS_KILL_EXIT_CODE)
         if self.fault.kind == KIND_HANG:
             while True:     # stay alive but wedge until the watchdog acts

@@ -35,11 +35,13 @@ paper's subject — PII-leakage-based tracking, where the identifier is a
 hash of the persona's email — is unaffected, because that identifier is
 recomputed identically on every site regardless of shard placement.
 
-Execution is *supervised* (see :mod:`repro.crawler.supervisor`): with
-``workers > 1`` each shard runs in its own watched worker process with
-bounded in-flight dispatch, heartbeat-based liveness detection, bounded
-retry of lost shards, poison-shard quarantine, and graceful
-SIGINT/SIGTERM shutdown that leaves a resumable study manifest behind.
+Execution is *supervised* at every worker count (see
+:mod:`repro.crawler.supervisor`): with ``workers > 1`` each shard runs in
+its own watched worker process, at most ``workers`` at a time, with
+heartbeat-based liveness detection, bounded retry of lost shards,
+poison-shard quarantine, and graceful SIGINT/SIGTERM shutdown that
+leaves a resumable study manifest behind; ``workers=1`` runs the shards
+in-process through the same dispatch loop and manifest.
 Supervision never moves a fingerprint: a shard's result is the same pure
 function of ``(population, seed, shard)`` whichever attempt produced it.
 """
@@ -49,7 +51,7 @@ from __future__ import annotations
 import copy
 import os
 from dataclasses import dataclass, field as dataclasses_field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..core.assets import CompiledStudyAssets, StudyAssetsSpec
 from ..mailsim import Mailbox
@@ -67,9 +69,6 @@ from .supervisor import (
     ShardSupervisor,
     SupervisionOutcome,
     SupervisorConfig,
-    load_manifest,
-    validate_manifest_layout,
-    write_manifest,
 )
 
 #: A parent-side heartbeat sink (e.g. a
@@ -348,8 +347,9 @@ class ParallelCrawlResult:
     #: The shard indexes missing from an incomplete merge.
     incomplete_shards: Tuple[int, ...] = ()
     #: The supervised execution's decisions (retries, watchdog trips,
-    #: quarantines, shutdown); ``None`` for the in-process serial path.
-    supervision: Optional[SupervisionOutcome] = None
+    #: quarantines, shutdown) and its salvage.
+    supervision: SupervisionOutcome = dataclasses_field(
+        default_factory=SupervisionOutcome)
     #: Per-shard resource samples (``{shard index: sample}``) when the
     #: engine ran with ``resources=True``; empty otherwise.  Ops
     #: telemetry only — see :mod:`repro.obs.runtime`.
@@ -382,8 +382,9 @@ class ParallelCrawler:
     the executor's watchdog deadline, retry budget, and shutdown drain;
     ``chaos`` (a :class:`~repro.crawler.ChaosPlan`) injects the seeded
     worker-fault plan into every launched worker.  Chaos manipulates
-    real processes, so it requires ``workers >= 2`` — combining a plan
-    with the in-process serial path would kill or hang the caller.
+    real processes, so it requires ``workers >= 2`` — with ``workers=1``
+    the shards run in the caller's own process, which a fault would kill
+    or hang.
 
     ``checkpoint_dir`` enables per-shard checkpointing: each shard
     writes ``shard-NNN.ckpt`` after every site, and a later crawl with
@@ -402,9 +403,9 @@ class ParallelCrawler:
     ``progress`` (any callable taking a
     :class:`~repro.obs.progress.HeartbeatEvent`, typically a
     :class:`~repro.obs.progress.ProgressAggregator`) turns on live
-    per-site heartbeats: workers stream events to the parent over a
-    multiprocessing queue and the engine drains them into the sink
-    while shards run.  Events arrive in completion order — progress is
+    per-site heartbeats: workers stream events to the parent over their
+    private pipe and the supervisor hands them to the sink while shards
+    run.  Events arrive in completion order — progress is
     a *live view*, deliberately outside every determinism contract —
     but emission never mutates crawl state, so the merged dataset and
     trace stay bit-identical with progress on or off.
@@ -421,8 +422,7 @@ class ParallelCrawler:
     :class:`~repro.crawler.supervisor.SupervisionEvent`) receives every
     supervision decision live as the supervised executor records it —
     the event-stream twin of ``result.supervision.events``, used by the
-    service layer for SSE fan-out.  Inert on the serial path, which
-    makes no supervision decisions.
+    service layer for SSE fan-out.
 
     Raises :class:`ValueError` for ``workers < 1`` or an invalid shard
     count.
@@ -522,10 +522,11 @@ class ParallelCrawler:
     # -- execution -------------------------------------------------------
 
     def request_shutdown(self, reason: str = "requested") -> None:
-        """Gracefully stop a supervised :meth:`run` in progress.
+        """Gracefully stop a :meth:`run` in progress.
 
-        Signal-safe and idempotent; a no-op before the supervisor
-        exists or on the serial in-process path.
+        Signal- and thread-safe and idempotent; a no-op before the
+        supervisor exists.  With ``workers=1`` the running shard
+        finishes first.
         """
         if self._supervisor is not None:
             self._supervisor.request_shutdown(reason)
@@ -548,8 +549,8 @@ class ParallelCrawler:
                 "result.supervision"
                 % (", ".join(str(index)
                              for index in result.incomplete_shards),
-                   "interrupted" if result.supervision is not None
-                   and result.supervision.interrupted else "quarantined"),
+                   "interrupted" if result.supervision.interrupted
+                   else "quarantined"),
                 result=result,
                 incomplete_shards=result.incomplete_shards)
         return result.dataset
@@ -570,24 +571,25 @@ class ParallelCrawler:
         jobs = [self._job(index) for index in range(self.layout.num_shards)]
         if self.checkpoint_dir:
             os.makedirs(self.checkpoint_dir, exist_ok=True)
-        outcome: Optional[SupervisionOutcome] = None
-        if self.workers == 1:
-            results: List[ShardResult] = self._run_serial(jobs)
-        else:
-            outcome = self._run_supervised(jobs)
-            results = list(outcome.results)
-        complete = outcome.complete if outcome is not None else True
-        if not results:
+        self._supervisor = ShardSupervisor(
+            config=self.supervision, workers=self.workers,
+            progress=self.progress, chaos=self.chaos,
+            checkpoint_dir=self.checkpoint_dir,
+            spec_description=self.spec.describe(),
+            event_sink=self.supervision_sink)
+        try:
+            outcome = self._supervisor.run(jobs, layout=self.layout)
+        finally:
+            self._supervisor = None
+        if not outcome.results:
             raise IncompleteCrawlError(
                 "no shard completed (%s); the per-shard checkpoints in "
                 "%r hold whatever progress was made"
-                % ("interrupted" if outcome is not None
-                   and outcome.interrupted else "all shards lost",
-                   self.checkpoint_dir),
-                incomplete_shards=(outcome.incomplete_shards
-                                   if outcome is not None else ()))
-        dataset = merge_shard_datasets(results, self.population())
-        ordered = sorted(results, key=lambda r: r.index)
+                % ("interrupted" if outcome.interrupted
+                   else "all shards lost", self.checkpoint_dir),
+                incomplete_shards=outcome.incomplete_shards)
+        dataset = merge_shard_datasets(outcome.results, self.population())
+        ordered = sorted(outcome.results, key=lambda r: r.index)
         merged_plan = None
         if self.fault_plan is not None:
             merged_plan = self.fault_plan.fresh_copy()
@@ -606,7 +608,7 @@ class ParallelCrawler:
                 [result.recorder for result in ordered
                  if result.recorder is not None])
             self.recorder.adopt(merged_recorder)
-            if outcome is not None and outcome.events:
+            if outcome.events:
                 # Supervision decisions are abnormal by definition, so
                 # they only ever reach the trace when something actually
                 # went wrong — a clean run's trace stays bit-identical
@@ -617,42 +619,14 @@ class ParallelCrawler:
         return ParallelCrawlResult(
             dataset=dataset, layout=self.layout, workers=self.workers,
             fault_plan=merged_plan, shard_stats=stats,
-            recorder=merged_recorder, complete=complete,
-            incomplete_shards=(outcome.incomplete_shards
-                               if outcome is not None else ()),
+            recorder=merged_recorder, complete=outcome.complete,
+            incomplete_shards=outcome.incomplete_shards,
             supervision=outcome,
             resources={result.index: dict(result.resources)
                        for result in ordered
                        if result.resources is not None})
 
     # -- internals -------------------------------------------------------
-
-    def _run_serial(self, jobs) -> List[ShardResult]:
-        """The in-process reference path (``workers=1``)."""
-        if self.checkpoint_dir:
-            manifest = load_manifest(self.checkpoint_dir)
-            if manifest is not None:
-                validate_manifest_layout(manifest, self.layout,
-                                         self.checkpoint_dir)
-        results = [run_shard_job(job, emit=self.progress) for job in jobs]
-        if self.checkpoint_dir:
-            write_manifest(self.checkpoint_dir, self.layout,
-                           SupervisionOutcome(results=list(results)),
-                           spec_description=self.spec.describe())
-        return results
-
-    def _run_supervised(self, jobs) -> SupervisionOutcome:
-        """Fan the jobs out over the supervised shard executor."""
-        self._supervisor = ShardSupervisor(
-            config=self.supervision, workers=self.workers,
-            progress=self.progress, chaos=self.chaos,
-            checkpoint_dir=self.checkpoint_dir,
-            spec_description=self.spec.describe(),
-            event_sink=self.supervision_sink)
-        try:
-            return self._supervisor.run(jobs, layout=self.layout)
-        finally:
-            self._supervisor = None
 
     def _job(self, index: int, checkpointed: bool = True) -> ShardJob:
         checkpoint_path = None

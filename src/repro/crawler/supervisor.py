@@ -1,20 +1,30 @@
 """Supervised crash-safe shard execution.
 
-:class:`ShardSupervisor` replaces the old batch ``Pool.map_async``
-fan-out of :class:`~repro.crawler.ParallelCrawler`: it dispatches shards
-one process each with a bounded number in flight, watches worker
-liveness, and survives every process-level failure the pool could not —
-a worker that segfaults, OOMs, hangs, or is killed no longer deadlocks
-the study or silently loses its whole batch.
+:class:`ShardSupervisor` is the one shard executor of
+:class:`~repro.crawler.ParallelCrawler`, at every worker count: it
+dispatches shards one process each with at most ``workers`` in flight,
+watches worker liveness, and survives every process-level failure — a
+worker that segfaults, OOMs, hangs, or is killed never deadlocks the
+study or silently loses its shard.  ``workers=1`` is the in-process case
+of the same dispatch loop: each shard runs in the caller's process, so
+there is nothing to watch and a Python error propagates to the caller.
 
 Supervision model
 -----------------
-* **Per-shard dispatch, bounded in-flight.**  Each attempt of each shard
-  runs in a fresh ``multiprocessing.Process``; at most ``max_in_flight``
-  run concurrently.  Every worker owns a private pair of
-  ``SimpleQueue``\\ s (beats, result) so one torn/killed worker can never
-  corrupt another worker's channel — there are no cross-process locks or
-  feeder threads shared between workers.
+* **Per-shard dispatch, one pipe per worker.**  Each attempt of each
+  shard runs in a fresh ``multiprocessing.Process`` that owns a private
+  ``Pipe(duplex=False)``: its beats and then its terminal outcome travel
+  over it in order, so one torn/killed worker can never corrupt another
+  worker's channel.  The parent closes its copy of the write end right
+  after the launch, so a worker that dies mid-message leaves an
+  end-of-file on its pipe instead of a reader blocked forever.
+* **Event-driven.**  The parent blocks in
+  ``multiprocessing.connection.wait`` on every worker pipe, every
+  process sentinel and a wakeup pipe that
+  :meth:`~ShardSupervisor.request_shutdown` writes to, with the nearest
+  watchdog or drain deadline as its timeout.  A fired sentinel drains
+  its pipe to end-of-file, so a result sent just before the exit is
+  never mistaken for a crash.
 * **Liveness watchdog.**  Workers emit a start sentinel and then reuse
   the :mod:`repro.obs.progress` heartbeat stream (one
   :class:`~repro.obs.progress.HeartbeatEvent` per crawled site) as their
@@ -38,7 +48,8 @@ Supervision model
   still running (their per-site checkpoints are already durable), and
   writes a resumable study manifest — so ``Study.crawl(resume=True)``
   against the same checkpoint directory picks up exactly where the kill
-  landed.
+  landed.  In-process (``workers=1``) the running shard finishes and the
+  rest are left unfinished.
 * **Partial-result salvage.**  Completed shards are always returned,
   explicitly marked incomplete when shards are missing; dataset
   fingerprints are only computed on complete merges (the
@@ -65,6 +76,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.progress import HeartbeatEvent
@@ -95,6 +107,15 @@ _TRANSIENT_ERROR_TYPES = frozenset({
     "ConnectionResetError", "BrokenPipeError", "EOFError", "MemoryError",
 })
 
+#: Seconds a worker gets to exit on its own (after its result) or on
+#: SIGTERM (after a watchdog trip or drain) before SIGKILL.
+KILL_GRACE = 5.0
+
+#: Held from a worker's pipe creation until the parent has closed its
+#: copy of the write end, so a supervisor launching in another thread
+#: never forks a child that inherits (and keeps open) that write end.
+_LAUNCH_LOCK = threading.Lock()
+
 
 class SupervisorError(RuntimeError):
     """The supervisor itself failed (not a worker)."""
@@ -124,35 +145,21 @@ class SupervisorConfig:
     which a live worker is declared hung; it must comfortably exceed
     the slowest single site crawl *plus* the worker's population-build
     time.  ``max_retries`` bounds the *transient* retries per shard
-    before quarantine (``0`` = no retries).  ``max_in_flight`` caps
-    concurrent worker processes (``None`` = the engine's worker count).
-    ``drain_timeout`` is the graceful-shutdown budget for in-flight
-    shards; ``kill_grace`` the SIGTERM→SIGKILL escalation delay;
-    ``poll_interval`` the supervision sweep period (also the watchdog's
-    resolution).  ``install_signal_handlers`` opts the supervisor into
-    handling SIGINT/SIGTERM during :meth:`ShardSupervisor.run` (only
-    ever attempted from the main thread).
+    before quarantine (``0`` = no retries).  ``drain_timeout`` is the
+    graceful-shutdown budget for in-flight shards.
     """
 
     max_retries: int = 2
     heartbeat_deadline: float = 60.0
-    poll_interval: float = 0.02
     drain_timeout: float = 10.0
-    kill_grace: float = 5.0
-    max_in_flight: Optional[int] = None
-    install_signal_handlers: bool = True
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.heartbeat_deadline <= 0:
             raise ValueError("heartbeat_deadline must be > 0")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be > 0")
         if self.drain_timeout < 0:
             raise ValueError("drain_timeout must be >= 0")
-        if self.max_in_flight is not None and self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -232,14 +239,14 @@ class _WorkerOutcome:
 
 
 def _supervised_worker_main(job, attempt: int, chaos: Optional[ChaosPlan],
-                            beat_queue, result_queue) -> None:
+                            conn) -> None:
     """Entry point of one supervised worker process.
 
     Runs exactly one shard attempt: emits the start sentinel, streams
-    per-site heartbeats, and puts exactly one terminal
-    :class:`_WorkerOutcome` — unless a (real or chaos-injected) crash or
-    hang prevents it, which is precisely what the parent's watchdog is
-    for.
+    per-site heartbeats, and sends exactly one terminal
+    :class:`_WorkerOutcome` last on ``conn`` — unless a (real or
+    chaos-injected) crash or hang prevents it, which is precisely what
+    the parent's watchdog is for.
     """
     # The parent owns shutdown policy: workers ignore the terminal's
     # SIGINT broadcast (the parent drains them instead) and die promptly
@@ -253,24 +260,23 @@ def _supervised_worker_main(job, attempt: int, chaos: Optional[ChaosPlan],
     shard_index = job.shard.index
     monkey = ChaosMonkey(chaos.fault_for(shard_index, attempt)
                          if chaos is not None else None)
-    beat_queue.put(_Beat(shard=shard_index, attempt=attempt))
+    conn.send(_Beat(shard=shard_index, attempt=attempt))
     monkey.on_start()
 
     def emit(event: HeartbeatEvent) -> None:
-        beat_queue.put(_Beat(shard=shard_index, attempt=attempt,
-                             event=event))
+        conn.send(_Beat(shard=shard_index, attempt=attempt, event=event))
         if not event.final:
             monkey.on_site()
 
     try:
         result = run_shard_job(job, emit=emit)
     except BaseException as exc:    # noqa: BLE001 — forwarded, not dropped
-        result_queue.put(_WorkerOutcome(
+        conn.send(_WorkerOutcome(
             shard=shard_index, attempt=attempt,
             error_type=type(exc).__name__, error=str(exc)))
     else:
-        result_queue.put(_WorkerOutcome(shard=shard_index, attempt=attempt,
-                                        result=result))
+        conn.send(_WorkerOutcome(shard=shard_index, attempt=attempt,
+                                 result=result))
 
 
 def classify_worker_failure(kind: str, error_type: str = "") -> str:
@@ -394,44 +400,30 @@ def validate_manifest_layout(manifest: Dict[str, object],
 class _WorkerHandle:
     """Parent-side bookkeeping for one in-flight worker attempt.
 
-    Holds live process/queue handles on purpose — this object never
+    Holds live process/pipe handles on purpose — this object never
     crosses a process boundary (the picklable currency is
     :class:`_Beat` / :class:`_WorkerOutcome`).
     """
 
-    def __init__(self, job, attempt: int, process, beat_queue,
-                 result_queue, launched_at: float) -> None:
+    def __init__(self, job, attempt: int, process, conn,
+                 launched_at: float) -> None:
         self.job = job
         self.attempt = attempt
         self.process = process           # statan: ignore[PKL303] -- parent-side handle; object never pickled
-        self.beat_queue = beat_queue     # statan: ignore[PKL303] -- parent-side handle; object never pickled
-        self.result_queue = result_queue  # statan: ignore[PKL303] -- parent-side handle; object never pickled
+        self.conn = conn                 # statan: ignore[PKL303] -- parent-side handle; object never pickled
         self.last_beat = launched_at
-        self.first_seen_dead: Optional[float] = None
-        self.retired = False
 
     @property
     def shard(self) -> int:
         return self.job.shard.index
 
-    def close(self) -> None:
-        """Release the queue pipes (idempotent)."""
-        if self.retired:
-            return
-        self.retired = True
-        for queue in (self.beat_queue, self.result_queue):
-            close = getattr(queue, "close", None)
-            if close is not None:
-                try:
-                    close()
-                except OSError:
-                    pass
-
 
 class ShardSupervisor:
     """Drives shard jobs to completion under supervision.
 
-    ``progress`` (optional) receives every worker
+    ``workers`` caps the worker processes in flight; ``workers=1`` runs
+    every shard in the caller's process instead.  ``progress``
+    (optional) receives every worker
     :class:`~repro.obs.progress.HeartbeatEvent` that carries crawl
     progress — the same sink contract as the engine's, so live progress
     keeps streaming across retries and kills.  ``event_sink``
@@ -451,7 +443,6 @@ class ShardSupervisor:
                  chaos: Optional[ChaosPlan] = None,
                  checkpoint_dir: Optional[str] = None,
                  spec_description: str = "",
-                 context: Optional[object] = None,
                  event_sink: Optional[
                      Callable[[SupervisionEvent], None]] = None) -> None:
         if workers < 1:
@@ -463,14 +454,17 @@ class ShardSupervisor:
         self.chaos = chaos
         self.checkpoint_dir = checkpoint_dir
         self.spec_description = spec_description
-        self._context = context or multiprocessing.get_context()
         self._shutdown_reason: Optional[str] = None
         self._shutdown_at: Optional[float] = None
+        # request_shutdown writes here to wake the event wait: under
+        # PEP 475 neither a signal nor another thread's call would.
+        self._wakeup_reader, self._wakeup_writer = \
+            multiprocessing.Pipe(duplex=False)
 
     # -- shutdown --------------------------------------------------------
 
     def request_shutdown(self, reason: str = "requested") -> None:
-        """Begin a graceful shutdown (idempotent, signal-safe).
+        """Begin a graceful shutdown (idempotent, signal- and thread-safe).
 
         In-flight shards get ``drain_timeout`` seconds to finish; new
         dispatch stops immediately; the run returns a partial outcome
@@ -478,6 +472,7 @@ class ShardSupervisor:
         """
         if self._shutdown_reason is None:
             self._shutdown_reason = reason
+            self._wakeup_writer.send_bytes(b"")
 
     @property
     def shutdown_requested(self) -> bool:
@@ -495,7 +490,9 @@ class ShardSupervisor:
         Raises :class:`~repro.crawler.CheckpointError` immediately when
         a worker reports one (resume-layout mismatches must abort the
         study, not burn retries) or when an existing study manifest
-        describes a different layout.
+        describes a different layout.  With ``workers=1`` every other
+        exception a shard raises propagates as well.  SIGINT/SIGTERM
+        request a graceful shutdown while this runs on the main thread.
         """
         if self.checkpoint_dir and layout is not None:
             manifest = load_manifest(self.checkpoint_dir)
@@ -505,10 +502,8 @@ class ShardSupervisor:
         outcome = SupervisionOutcome()
         pending: List[Tuple[object, int]] = [(job, 0) for job in jobs]
         inflight: Dict[int, _WorkerHandle] = {}
-        max_in_flight = self.config.max_in_flight or self.workers
         restore: List[Tuple[int, object]] = []
-        if self.config.install_signal_handlers and \
-                threading.current_thread() is threading.main_thread():
+        if threading.current_thread() is threading.main_thread():
             for signum in (signal.SIGINT, signal.SIGTERM):
                 try:
                     restore.append(
@@ -516,16 +511,15 @@ class ShardSupervisor:
                 except (ValueError, OSError):
                     pass
         try:
-            self._loop(outcome, pending, inflight, max_in_flight)
+            self._loop(outcome, pending, inflight)
         finally:
             for signum, previous in restore:
                 try:
                     signal.signal(signum, previous)
                 except (ValueError, OSError, TypeError):
                     pass
-            for handle in inflight.values():
-                self._kill(handle)
-                handle.close()
+            for handle in list(inflight.values()):
+                self._retire(handle, inflight, kill=True)
         if self.checkpoint_dir and layout is not None:
             write_manifest(self.checkpoint_dir, layout, outcome,
                            spec_description=self.spec_description)
@@ -546,147 +540,152 @@ class ShardSupervisor:
 
     def _loop(self, outcome: SupervisionOutcome,
               pending: List[Tuple[object, int]],
-              inflight: Dict[int, _WorkerHandle],
-              max_in_flight: int) -> None:
+              inflight: Dict[int, _WorkerHandle]) -> None:
+        from .parallel import run_shard_job
         while pending or inflight:
-            if not self.shutdown_requested:
-                while pending and len(inflight) < max_in_flight:
-                    job, attempt = pending.pop(0)
+            while pending and len(inflight) < self.workers and \
+                    not self.shutdown_requested:
+                job, attempt = pending.pop(0)
+                if self.workers == 1:
+                    # In-process: the caller's own process crawls, so
+                    # there is no liveness to watch and an error
+                    # propagates instead of being retried.
+                    outcome.results.append(
+                        run_shard_job(job, emit=self.progress))
+                else:
                     handle = self._launch(job, attempt)
                     inflight[handle.shard] = handle
-            progressed = self._sweep(outcome, pending, inflight)
             if self.shutdown_requested:
-                # Shutdown path: pending shards will not run; in-flight
-                # shards drain until the timeout, then die (their
-                # checkpoints survive).  The request may land at any
-                # moment — a signal, or a progress sink called inside
-                # the sweep above — so the bookkeeping happens here.
-                if self._shutdown_at is None:
-                    self._shutdown_at = self._now()
-                    outcome.interrupted = True
-                    self._record(outcome, SupervisionEvent(
-                        kind=EVENT_SHUTDOWN,
-                        detail=self._shutdown_reason or ""))
-                if pending:
-                    for job, _ in pending:
-                        outcome.unfinished.append(job.shard.index)
-                    del pending[:]
-                if inflight and \
-                        self._now() - self._shutdown_at > \
-                        self.config.drain_timeout:
-                    for handle in list(inflight.values()):
-                        self._record(outcome, SupervisionEvent(
-                            kind=EVENT_DRAIN_KILL, shard=handle.shard,
-                            attempt=handle.attempt,
-                            detail="drain timeout after %.1fs"
-                                   % self.config.drain_timeout))
-                        self._kill(handle)
-                        handle.close()
-                        del inflight[handle.shard]
-                        outcome.unfinished.append(handle.shard)
-            if not progressed and (pending or inflight):
-                time.sleep(self.config.poll_interval)
+                self._drain(outcome, pending, inflight)
+            if inflight:
+                self._wait(outcome, pending, inflight)
+
+    def _drain(self, outcome: SupervisionOutcome,
+               pending: List[Tuple[object, int]],
+               inflight: Dict[int, _WorkerHandle]) -> None:
+        """Shutdown bookkeeping: pending shards will not run; in-flight
+        shards drain until the timeout, then die (their checkpoints
+        survive)."""
+        if self._shutdown_at is None:
+            self._shutdown_at = self._now()
+            outcome.interrupted = True
+            self._record(outcome, SupervisionEvent(
+                kind=EVENT_SHUTDOWN, detail=self._shutdown_reason or ""))
+        outcome.unfinished.extend(job.shard.index for job, _ in pending)
+        del pending[:]
+        if self._now() - self._shutdown_at < self.config.drain_timeout:
+            return
+        for handle in list(inflight.values()):
+            self._record(outcome, SupervisionEvent(
+                kind=EVENT_DRAIN_KILL, shard=handle.shard,
+                attempt=handle.attempt,
+                detail="drain timeout after %.1fs"
+                       % self.config.drain_timeout))
+            self._retire(handle, inflight, kill=True)
+            outcome.unfinished.append(handle.shard)
 
     def _launch(self, job, attempt: int) -> _WorkerHandle:
-        beat_queue = self._context.SimpleQueue()
-        result_queue = self._context.SimpleQueue()
-        process = self._context.Process(
-            target=_supervised_worker_main,
-            args=(job, attempt, self.chaos, beat_queue, result_queue),
-            daemon=True,
-            name="repro-shard-%03d-attempt-%d" % (job.shard.index, attempt))
-        process.start()
+        with _LAUNCH_LOCK:
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            process = multiprocessing.Process(
+                target=_supervised_worker_main,
+                args=(job, attempt, self.chaos, writer), daemon=True,
+                name="repro-shard-%03d-attempt-%d"
+                     % (job.shard.index, attempt))
+            process.start()
+            # Only the worker may hold the write end: once it exits,
+            # for whatever reason, the reader sees end-of-file.
+            writer.close()
         return _WorkerHandle(job=job, attempt=attempt, process=process,
-                             beat_queue=beat_queue,
-                             result_queue=result_queue,
-                             launched_at=self._now())
+                             conn=reader, launched_at=self._now())
 
-    def _sweep(self, outcome: SupervisionOutcome,
-               pending: List[Tuple[object, int]],
-               inflight: Dict[int, _WorkerHandle]) -> bool:
-        """One supervision pass; returns True when anything happened."""
-        progressed = False
+    def _wait(self, outcome: SupervisionOutcome,
+              pending: List[Tuple[object, int]],
+              inflight: Dict[int, _WorkerHandle]) -> None:
+        """Block until a worker pipe or sentinel is ready, a shutdown is
+        requested, or the nearest deadline passes; then act on it."""
+        deadline = min(handle.last_beat for handle in inflight.values()) \
+            + self.config.heartbeat_deadline
+        if self._shutdown_at is not None:
+            deadline = min(deadline,
+                           self._shutdown_at + self.config.drain_timeout)
+        waitables = [handle.conn for handle in inflight.values()]
+        waitables += [handle.process.sentinel
+                      for handle in inflight.values()]
+        if not self.shutdown_requested:
+            waitables.append(self._wakeup_reader)
+        ready = set(wait(waitables, timeout=max(0.0,
+                                                deadline - self._now())))
+        for handle in list(inflight.values()):
+            exited = handle.process.sentinel in ready
+            if exited or handle.conn in ready:
+                self._receive(outcome, pending, inflight, handle, exited)
         now = self._now()
         for handle in list(inflight.values()):
-            # 1. Liveness: drain this worker's beats.
-            while not handle.beat_queue.empty():
-                beat = handle.beat_queue.get()
-                handle.last_beat = self._now()
-                progressed = True
-                if self.progress is not None and beat.event is not None:
-                    self.progress(beat.event)
-            exitcode = handle.process.exitcode
-            # 2. Results: only read from a live or cleanly-exited
-            #    worker — a killed worker's result pipe may be torn
-            #    mid-message and must never block the supervisor.
-            if (exitcode is None or exitcode == 0) and \
-                    not handle.result_queue.empty():
-                message = handle.result_queue.get()
-                progressed = True
-                self._retire(handle, inflight)
-                if message.result is not None:
-                    outcome.results.append(message.result)
-                else:
-                    self._handle_failure(
-                        outcome, pending, handle, EVENT_WORKER_ERROR,
-                        error_type=message.error_type,
-                        detail="%s: %s" % (message.error_type,
-                                           message.error))
-                continue
-            # 3. Death: the process is gone and no result arrived.  A
-            #    short grace window lets a result racing the exit land.
-            if exitcode is not None:
-                if handle.first_seen_dead is None:
-                    handle.first_seen_dead = now
-                    continue
-                if now - handle.first_seen_dead < 0.2 and exitcode == 0:
-                    continue
-                progressed = True
-                self._retire(handle, inflight)
-                died_of = ("exit code %d" % exitcode if exitcode >= 0
-                           else "signal %d" % -exitcode)
-                self._handle_failure(outcome, pending, handle,
-                                     EVENT_WORKER_CRASHED,
-                                     detail="worker died (%s) without "
-                                            "delivering a result" % died_of)
-                continue
-            # 4. Watchdog: alive but silent past the deadline -> hung.
-            if now - handle.last_beat > self.config.heartbeat_deadline:
-                progressed = True
-                self._kill(handle)
-                self._retire(handle, inflight)
+            silent = now - handle.last_beat
+            if silent >= self.config.heartbeat_deadline:
+                self._retire(handle, inflight, kill=True)
                 self._handle_failure(
                     outcome, pending, handle, EVENT_WATCHDOG_TRIP,
                     detail="no heartbeat for %.1fs (deadline %.1fs); "
                            "worker killed"
-                           % (now - handle.last_beat,
-                              self.config.heartbeat_deadline))
-        return progressed
+                           % (silent, self.config.heartbeat_deadline))
+
+    def _receive(self, outcome: SupervisionOutcome,
+                 pending: List[Tuple[object, int]],
+                 inflight: Dict[int, _WorkerHandle],
+                 handle: _WorkerHandle, exited: bool) -> None:
+        """Deliver a ready worker's beats; settle its shard once it has
+        sent its outcome or is gone."""
+        message: Optional[_WorkerOutcome] = None
+        try:
+            while message is None and handle.conn.poll():
+                received = handle.conn.recv()
+                if isinstance(received, _WorkerOutcome):
+                    message = received      # always the last message
+                    continue
+                handle.last_beat = self._now()
+                if self.progress is not None and received.event is not None:
+                    self.progress(received.event)
+        except (EOFError, OSError):
+            # End of file, possibly mid-message: the worker is gone.
+            exited = True
+        if message is None and not exited:
+            return
+        self._retire(handle, inflight)
+        if message is None:
+            exitcode = handle.process.exitcode
+            died_of = ("exit code %d" % exitcode if exitcode >= 0
+                       else "signal %d" % -exitcode)
+            self._handle_failure(outcome, pending, handle,
+                                 EVENT_WORKER_CRASHED,
+                                 detail="worker died (%s) without "
+                                        "delivering a result" % died_of)
+        elif message.result is not None:
+            outcome.results.append(message.result)
+        else:
+            self._handle_failure(
+                outcome, pending, handle, EVENT_WORKER_ERROR,
+                error_type=message.error_type,
+                detail="%s: %s" % (message.error_type, message.error))
 
     def _retire(self, handle: _WorkerHandle,
-                inflight: Dict[int, _WorkerHandle]) -> None:
-        inflight.pop(handle.shard, None)
-        if handle.process.exitcode is None:
-            # Still exiting after a clean result: give it a moment.
-            handle.process.join(timeout=self.config.kill_grace)
-            if handle.process.exitcode is None:
-                self._kill(handle)
-        else:
-            handle.process.join()
-        handle.close()
-
-    def _kill(self, handle: _WorkerHandle) -> None:
-        """Terminate a worker, escalating SIGTERM → SIGKILL."""
+                inflight: Dict[int, _WorkerHandle],
+                kill: bool = False) -> None:
+        """Reap a worker and close its pipe.  A worker that is to be
+        killed, or outlives :data:`KILL_GRACE` after its outcome, gets
+        SIGTERM, then SIGKILL after another grace."""
+        del inflight[handle.shard]
         process = handle.process
-        if process.exitcode is not None:
-            process.join()
-            return
-        process.terminate()
-        process.join(timeout=self.config.kill_grace)
+        if not kill:
+            process.join(KILL_GRACE)
         if process.exitcode is None:
-            kill = getattr(process, "kill", process.terminate)
-            kill()
+            process.terminate()
+            process.join(KILL_GRACE)
+        if process.exitcode is None:
+            process.kill()
             process.join()
+        handle.conn.close()
 
     def _handle_failure(self, outcome: SupervisionOutcome,
                         pending: List[Tuple[object, int]],

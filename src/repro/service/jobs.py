@@ -246,10 +246,8 @@ class JobOutcome:
     incomplete_shards: Tuple[int, ...] = ()
 
 
-def supervision_summary(outcome) -> Optional[Dict[str, object]]:
-    """A JSON-able digest of a :class:`SupervisionOutcome` (or None)."""
-    if outcome is None:
-        return None
+def supervision_summary(outcome) -> Dict[str, object]:
+    """A JSON-able digest of a :class:`SupervisionOutcome`."""
     return {
         "complete": outcome.complete,
         "interrupted": outcome.interrupted,
@@ -337,9 +335,8 @@ class JobRun:
     def request_shutdown(self, reason: str = "requested") -> None:
         """Gracefully drain the in-flight crawl (idempotent, thread-safe).
 
-        A no-op before the crawl engine exists, after it finished, and
-        on the serial in-process path (which runs to completion — its
-        per-site checkpoints stay durable either way).
+        A no-op before the crawl engine exists and after it finished.
+        With ``workers=1`` the running shard finishes first.
         """
         engine = self._engine
         if engine is not None:
@@ -378,14 +375,13 @@ class JobRun:
             self._engine = None
         supervision = supervision_summary(result.supervision)
         if not result.complete:
-            interrupted = (result.supervision is not None
-                           and result.supervision.interrupted)
             return JobOutcome(
                 state=STATE_PARTIAL, recorder=recorder,
                 error="crawl incomplete: shards %s missing (%s)"
                       % (", ".join(str(index) for index
                                    in result.incomplete_shards),
-                         "interrupted" if interrupted else "quarantined"),
+                         "interrupted" if result.supervision.interrupted
+                         else "quarantined"),
                 resumable=self.checkpoint_dir is not None,
                 supervision=supervision,
                 incomplete_shards=result.incomplete_shards)

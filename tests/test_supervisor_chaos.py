@@ -10,13 +10,18 @@ run.
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 import textwrap
+import threading
+import time
+from multiprocessing.connection import Connection
 
 import pytest
 
 from repro.core import Study, StudyConfig
+from repro.crawler import parallel
 from repro.crawler import (
     CHAOS_KILL_EXIT_CODE,
     ChaosError,
@@ -35,6 +40,7 @@ from repro.crawler import (
     parse_chaos_spec,
 )
 from repro.crawler.supervisor import (
+    EVENT_DRAIN_KILL,
     EVENT_QUARANTINE,
     EVENT_RETRY,
     EVENT_WATCHDOG_TRIP,
@@ -174,7 +180,7 @@ def test_hung_worker_trips_watchdog_and_converges(workers):
                                           after_sites=1),))
     result = _supervised(
         workers, chaos=chaos,
-        config=SupervisorConfig(heartbeat_deadline=1.5, kill_grace=5.0)
+        config=SupervisorConfig(heartbeat_deadline=1.5)
         ).run()
     assert result.complete
     assert result.dataset.fingerprint() == serial
@@ -274,12 +280,16 @@ def test_supervision_events_surface_as_obs_counters():
 # -- graceful shutdown and resume ----------------------------------------
 
 
-def test_graceful_shutdown_drains_writes_manifest_and_resumes(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_graceful_shutdown_drains_writes_manifest_and_resumes(tmp_path,
+                                                              workers):
     """request_shutdown mid-crawl: in-flight shards drain, the study
     manifest marks the run interrupted, and a later run against the
-    same checkpoint dir converges to the undisturbed fingerprint."""
+    same checkpoint dir converges to the undisturbed fingerprint.
+    In-process (workers=1) the running shard finishes and every other
+    shard is left unfinished."""
     serial = _serial_fingerprint()
-    engine = _supervised(2, checkpoint_dir=str(tmp_path),
+    engine = _supervised(workers, checkpoint_dir=str(tmp_path),
                          config=SupervisorConfig(drain_timeout=60.0))
     beats = []
 
@@ -299,6 +309,10 @@ def test_graceful_shutdown_drains_writes_manifest_and_resumes(tmp_path):
         result.supervision.unfinished)
     assert manifest["completed_shards"] == sorted(
         r.index for r in result.supervision.results)
+    if workers == 1:
+        (finished,) = [r.index for r in result.supervision.results]
+        assert sorted(result.supervision.unfinished) == [
+            index for index in range(_NUM_SHARDS) if index != finished]
 
     resumed = ParallelCrawler(_population(), workers=4,
                               num_shards=_NUM_SHARDS,
@@ -306,6 +320,94 @@ def test_graceful_shutdown_drains_writes_manifest_and_resumes(tmp_path):
     assert resumed.complete
     assert resumed.dataset.fingerprint() == serial
     assert load_manifest(str(tmp_path))["status"] == "complete"
+
+
+def test_request_shutdown_from_another_thread_wakes_a_silent_wait():
+    """Another thread's request_shutdown ends a run whose only in-flight
+    worker is hung: no heartbeat will ever wake the supervisor, and a
+    signal would not either, so the shutdown request itself must — the
+    run returns at the drain timeout, not at the 300 s watchdog."""
+    chaos = ChaosPlan(faults=(WorkerFault(kind="hang", shard=0,
+                                          after_sites=1),))
+    hung_alone = threading.Event()
+    seen = set()
+
+    def sink(event):
+        seen.add((event.shard, event.final))
+        if {(0, False), (1, True)} <= seen:
+            hung_alone.set()
+
+    engine = ParallelCrawler(
+        _population(), workers=2, num_shards=2, chaos=chaos, progress=sink,
+        supervision=SupervisorConfig(heartbeat_deadline=300.0,
+                                     drain_timeout=1.0))
+    box = {}
+    crawl = threading.Thread(target=lambda: box.update(result=engine.run()),
+                             daemon=True)
+    crawl.start()
+    assert hung_alone.wait(60), "shard 1 never finished around the hang"
+    time.sleep(0.5)     # let the supervisor reap shard 1 and block
+    requested = time.monotonic()
+    engine.request_shutdown("test")
+    crawl.join(timeout=30)
+    assert not crawl.is_alive(), "shutdown request did not wake the wait"
+    assert time.monotonic() - requested < 6.0
+    result = box["result"]
+    assert result.supervision.interrupted
+    assert result.supervision.unfinished == [0]
+    assert [r.index for r in result.supervision.results] == [1]
+    kinds = [event.kind for event in result.supervision.events]
+    assert EVENT_DRAIN_KILL in kinds
+
+
+def test_torn_result_frame_is_a_crash_not_a_hang(tmp_path, monkeypatch):
+    """A worker that dies midway through sending its result leaves a
+    truncated frame on its channel.  The supervisor must read that as a
+    crash and retry the shard, never block on the frame's missing
+    bytes; the crawl runs in a thread so a hang fails the test instead
+    of stalling it."""
+    serial = _serial_fingerprint()
+    shard = _target_shard(_supervised(2))
+    marker = tmp_path / "torn"
+    armed = []
+    real_run_shard_job = parallel.run_shard_job
+    real_send_bytes = Connection._send_bytes
+
+    def run_shard_job(job, emit=None):
+        result = real_run_shard_job(job, emit=emit)
+        if job.shard.index == shard and not marker.exists():
+            marker.write_text("first attempt")
+            armed.append(True)      # the next frame sent is the result
+        return result
+
+    def send_bytes(self, buf):
+        if not armed:
+            return real_send_bytes(self, buf)
+        # The header promises the whole result and 1000 bytes more, but
+        # only half of the result follows before the worker dies.
+        self._send(struct.pack("!i", len(buf) + 1000))
+        self._send(bytes(buf[:len(buf) // 2]))
+        time.sleep(0.3)             # linger: the parent starts reading
+        os._exit(9)
+
+    # Both patches reach the forked workers; the parent never arms.
+    monkeypatch.setattr(parallel, "run_shard_job", run_shard_job)
+    monkeypatch.setattr(Connection, "_send_bytes", send_bytes)
+    engine = _supervised(2, config=SupervisorConfig(heartbeat_deadline=30.0))
+    box = {}
+    crawl = threading.Thread(target=lambda: box.update(result=engine.run()),
+                             daemon=True)
+    crawl.start()
+    crawl.join(timeout=60)
+    assert not crawl.is_alive(), "supervisor hung on a torn result frame"
+    result = box["result"]
+    assert result.complete
+    assert result.dataset.fingerprint() == serial
+    crash = next(event for event in result.supervision.events
+                 if event.kind == EVENT_WORKER_CRASHED)
+    assert crash.shard == shard
+    assert "exit code 9" in crash.detail
+    assert EVENT_RETRY in [event.kind for event in result.supervision.events]
 
 
 def test_study_crawl_resume_true_resumes_from_checkpoint(tmp_path):
@@ -440,9 +542,11 @@ def test_foreign_manifest_is_rejected(tmp_path):
         load_manifest(str(tmp_path))
 
 
-def test_manifest_layout_mismatch_rejected_before_crawling(tmp_path):
-    _supervised(2, checkpoint_dir=str(tmp_path)).run()
-    other = ParallelCrawler(_population(), workers=2,
+@pytest.mark.parametrize("workers", [1, 2])
+def test_manifest_layout_mismatch_rejected_before_crawling(tmp_path,
+                                                          workers):
+    _supervised(workers, checkpoint_dir=str(tmp_path)).run()
+    other = ParallelCrawler(_population(), workers=workers,
                             num_shards=_NUM_SHARDS + 2,
                             checkpoint_dir=str(tmp_path))
     with pytest.raises(CheckpointError) as excinfo:
@@ -455,7 +559,3 @@ def test_supervisor_config_validates():
         SupervisorConfig(max_retries=-1)
     with pytest.raises(ValueError):
         SupervisorConfig(heartbeat_deadline=0)
-    with pytest.raises(ValueError):
-        SupervisorConfig(poll_interval=0)
-    with pytest.raises(ValueError):
-        SupervisorConfig(max_in_flight=0)
