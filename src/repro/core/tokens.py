@@ -75,24 +75,38 @@ class CandidateTokenSet:
 
     def __init__(self, persona: Persona,
                  config: Optional[TokenSetConfig] = None,
-                 recorder: Optional[Recorder] = None) -> None:
+                 recorder: Optional[Recorder] = None, *,
+                 compiled: Optional["CandidateTokenSet"] = None) -> None:
         """``recorder`` (a :class:`repro.obs.Recorder`) records the
         candidate-generation funnel — tokens emitted, pruned as too
-        short, and deduplicated — as counters and gauges."""
+        short, and deduplicated — as counters and gauges.
+
+        ``compiled`` is an already-built set for the same persona and
+        config: the new set shares its token table and automaton, which
+        are immutable once built, instead of generating them again.
+        """
         self.persona = persona
         self.config = config or TokenSetConfig()
         self.recorder = recorder or NULL_RECORDER
-        self._origins: Dict[str, List[TokenOrigin]] = {}
-        self._automaton: AhoCorasick[TokenOrigin] = AhoCorasick()
-        # Funnel tallies are kept as plain ints so a precomputed token
-        # set can *replay* them into any recorder later (see
-        # `replay_funnel`) — that is what keeps traces identical when
-        # `CompiledStudyAssets` builds the set once and reuses it.
-        self.funnel_counts: Dict[str, int] = {
-            name: 0 for name in self.FUNNEL_COUNTERS}
         self._scan_distinct_memo: Dict[str, List[TokenOrigin]] = {}
-        self._generate()
-        self._automaton.build()
+        if compiled is not None:
+            if (compiled.persona, compiled.config) != (persona, self.config):
+                raise ValueError("compiled token set was built for another "
+                                 "persona or config")
+            self._origins: Dict[str, List[TokenOrigin]] = compiled._origins
+            self._automaton: AhoCorasick[TokenOrigin] = compiled._automaton
+            self.funnel_counts: Dict[str, int] = dict(compiled.funnel_counts)
+        else:
+            self._origins = {}
+            self._automaton = AhoCorasick()
+            # Funnel tallies are kept as plain ints so a precomputed
+            # token set can *replay* them into any recorder later (see
+            # `replay_funnel`) — that is what keeps traces identical
+            # when `CompiledStudyAssets` builds the set once and reuses
+            # it.
+            self.funnel_counts = {name: 0 for name in self.FUNNEL_COUNTERS}
+            self._generate()
+            self._automaton.build()
         self.replay_funnel(self.recorder)
 
     # -- generation --------------------------------------------------------

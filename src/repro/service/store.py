@@ -270,7 +270,7 @@ class JobStore:
         status_path = os.path.join(directory, STATUS_NAME)
         try:
             with open(spec_path, "r", encoding="utf-8") as handle:
-                spec = JobSpec.from_dict(json.load(handle))
+                spec = JobSpec.from_stored(json.load(handle))
         except (OSError, ValueError) as exc:
             raise StoreError("%s has no readable spec.json (%s)"
                              % (directory, exc)) from exc
