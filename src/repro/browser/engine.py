@@ -337,13 +337,13 @@ class Browser:
                  referer: Optional[str], page_url: str,
                  redirects: int = 0):
         """Send one request (following redirects); returns (response, url)."""
-        headers = Headers([("User-Agent", self._user_agent())])
+        fields = [("User-Agent", self._user_agent())]
         if referer:
-            headers.set("Referer", referer)
+            fields.append(("Referer", referer))
         if content_type:
-            headers.set("Content-Type", content_type)
+            fields.append(("Content-Type", content_type))
         if self.profile.automation_detectable:
-            headers.set("Sec-Automation", "true")
+            fields.append(("Sec-Automation", "true"))
 
         is_third_party = default_list().is_third_party(url.host,
                                                        site.www_host)
@@ -352,9 +352,9 @@ class Browser:
             cookie_value = self.jar.cookie_header(url, self.clock.now(),
                                                   partition)
             if cookie_value:
-                headers.set("Cookie", cookie_value)
+                fields.append(("Cookie", cookie_value))
 
-        request = HttpRequest(method=method, url=url, headers=headers,
+        request = HttpRequest(method=method, url=url, headers=Headers(fields),
                               body=body, resource_type=resource_type,
                               initiator_chain=initiator_chain,
                               timestamp=self.clock.tick())

@@ -15,6 +15,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .url import Url
 
+#: A stored cookie's identity: (partition, domain, path, name).
+_Key = Tuple[str, str, str, str]
+
 
 @dataclass
 class Cookie:
@@ -102,11 +105,37 @@ def parse_set_cookie(header_value: str, request_url: Url,
 
 
 class CookieJar:
-    """User-agent cookie store with optional per-site partitioning."""
+    """User-agent cookie store with optional per-site partitioning.
+
+    Cookies are indexed by ``(partition, domain)``, so a lookup visits
+    only the buckets named by the request host's label suffixes instead
+    of every stored cookie.  Each key also carries its first-insert
+    sequence number, which breaks RFC 6265 order ties exactly as the
+    insertion order of ``_cookies`` does.  Only ``_cookies`` is pickled;
+    the index is rebuilt on load.
+    """
 
     def __init__(self) -> None:
-        # (partition, domain, path, name) -> Cookie
-        self._cookies: Dict[Tuple[str, str, str, str], Cookie] = {}
+        self._cookies: Dict[_Key, Cookie] = {}
+        self._rebuild_index()
+
+    def _rebuild_index(self) -> None:
+        # (partition, domain) -> {cookie key: first-insert sequence}
+        self._index: Dict[Tuple[str, str], Dict[_Key, int]] = {}
+        self._sequence = 0
+        for key in self._cookies:
+            self._add_to_index(key)
+
+    def _add_to_index(self, key: _Key) -> None:
+        self._index.setdefault(key[:2], {})[key] = self._sequence
+        self._sequence += 1
+
+    def __getstate__(self) -> Dict[str, Dict[_Key, Cookie]]:
+        return {"_cookies": self._cookies}
+
+    def __setstate__(self, state: Dict[str, Dict[_Key, Cookie]]) -> None:
+        self._cookies = state["_cookies"]
+        self._rebuild_index()
 
     def set_cookie(self, cookie: Cookie, partition: str = "") -> None:
         """Store (or overwrite) a cookie, optionally in a partition."""
@@ -114,6 +143,8 @@ class CookieJar:
         existing = self._cookies.get(key)
         if existing is not None:
             cookie.creation_time = existing.creation_time
+        else:
+            self._add_to_index(key)
         self._cookies[key] = cookie
 
     def set_from_header(self, header_value: str, request_url: Url,
@@ -127,21 +158,32 @@ class CookieJar:
     def cookies_for(self, url: Url, now: float = 0.0,
                     partition: str = "") -> List[Cookie]:
         """Cookies to attach to a request for ``url`` (RFC 6265 §5.4 order)."""
+        host = url.host.lower()
+        path = url.path
+        insecure = url.scheme != "https"
         matches = []
-        for (cookie_partition, _, _, _), cookie in self._cookies.items():
-            if cookie_partition != partition:
-                continue
-            if cookie.is_expired(now):
-                continue
-            if not cookie.domain_matches(url.host):
-                continue
-            if not cookie.path_matches(url.path):
-                continue
-            if cookie.secure and url.scheme != "https":
-                continue
-            matches.append(cookie)
-        matches.sort(key=lambda c: (-len(c.path), c.creation_time))
-        return matches
+        domain = host
+        while True:
+            bucket = self._index.get((partition, domain))
+            if bucket:
+                for key, sequence in bucket.items():
+                    cookie = self._cookies[key]
+                    if cookie.host_only and domain != host:
+                        continue
+                    if cookie.is_expired(now):
+                        continue
+                    if not cookie.path_matches(path):
+                        continue
+                    if cookie.secure and insecure:
+                        continue
+                    matches.append((-len(cookie.path), cookie.creation_time,
+                                    sequence, cookie))
+            dot = domain.find(".")
+            if dot == -1:
+                break
+            domain = domain[dot + 1:]
+        matches.sort()
+        return [match[3] for match in matches]
 
     def cookie_header(self, url: Url, now: float = 0.0,
                       partition: str = "") -> str:
@@ -159,11 +201,16 @@ class CookieJar:
                    if cookie.is_expired(now)]
         for key in expired:
             del self._cookies[key]
+            bucket = self._index[key[:2]]
+            del bucket[key]
+            if not bucket:
+                del self._index[key[:2]]
         return len(expired)
 
     def clear(self) -> None:
         """Empty the jar (fresh browser profile)."""
         self._cookies.clear()
+        self._index.clear()
 
     def __len__(self) -> int:
         return len(self._cookies)

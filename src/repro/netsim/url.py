@@ -10,6 +10,7 @@ percent-encoding.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -17,25 +18,33 @@ from typing import Dict, Iterable, List, Optional, Tuple
 _UNRESERVED = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~")
 _HEX_DIGITS = "0123456789ABCDEF"
+_ESCAPE = re.compile(r"%[0-9A-Fa-f]{2}")
+
+
+@lru_cache(maxsize=64)
+def _encode_table(safe: str) -> Tuple[str, ...]:
+    """Byte -> output text for :func:`percent_encode` with ``safe``."""
+    keep = _UNRESERVED.union(safe)
+    return tuple(
+        chr(byte) if chr(byte) in keep
+        else "%%%c%c" % (_HEX_DIGITS[byte >> 4], _HEX_DIGITS[byte & 0xF])
+        for byte in range(256))
 
 
 def percent_encode(text: str, safe: str = "") -> str:
     """RFC 3986 percent-encoding; ``safe`` characters pass through."""
-    keep = _UNRESERVED.union(safe)
-    pieces: List[str] = []
-    for byte in text.encode("utf-8"):
-        char = chr(byte)
-        if char in keep:
-            pieces.append(char)
-        else:
-            pieces.append("%%%c%c" % (_HEX_DIGITS[byte >> 4],
-                                      _HEX_DIGITS[byte & 0xF]))
-    return "".join(pieces)
+    # Latin-1 maps each UTF-8 byte to the code point of the same value,
+    # so the byte table serves as a ``str.translate`` table.
+    return text.encode("utf-8").decode("latin-1").translate(
+        _encode_table(safe))
 
 
 @lru_cache(maxsize=8192)
 def percent_decode(text: str) -> str:
     """Inverse of :func:`percent_encode`; tolerates malformed escapes.
+
+    Only ``%`` followed by two hex digits (RFC 3986 ``pct-encoded``) is
+    decoded; any other ``%`` is kept literally.  ``+`` decodes to a space.
 
     Memoised: the detector percent-decodes every path/referer of every
     captured request, and a crawl revisits the same few thousand
@@ -45,21 +54,11 @@ def percent_decode(text: str) -> str:
         return text
     out = bytearray()
     index = 0
-    while index < len(text):
-        char = text[index]
-        if char == "%" and index + 2 < len(text) + 1:
-            hex_pair = text[index + 1:index + 3]
-            try:
-                out.append(int(hex_pair, 16))
-                index += 3
-                continue
-            except ValueError:
-                pass
-        if char == "+":
-            out.append(0x20)
-        else:
-            out.extend(char.encode("utf-8"))
-        index += 1
+    for match in _ESCAPE.finditer(text):
+        out += text[index:match.start()].replace("+", " ").encode("utf-8")
+        out.append(int(match.group()[1:], 16))
+        index = match.end()
+    out += text[index:].replace("+", " ").encode("utf-8")
     return out.decode("utf-8", errors="replace")
 
 

@@ -14,10 +14,19 @@ behaviour (our stand-in for executing third-party JavaScript).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 _VOID_TAGS = frozenset({"img", "input", "link", "meta", "br", "hr"})
+
+#: One token per ``<``: a comment (``<!--`` up to the first ``-->``, which
+#: may overlap the opener as in ``<!-->``, else to the end of the document)
+#: or a tag ``<`` ... ``>`` split into closer slash, name and attributes.
+#: A ``<`` with no ``>`` after it matches nothing, and neither can any
+#: later ``<`` but a comment, so scanning stops there.
+_TOKEN = re.compile(r"<!(?=--).*?(?:-->|\Z)|<(/?)([^ \t\r\n/>]*)([^>]*)>",
+                    re.DOTALL)
 
 
 # --------------------------------------------------------------------------
@@ -68,6 +77,8 @@ class ParsedPage:
 
 
 def _unescape(value: str) -> str:
+    if "&" not in value:
+        return value
     return (value.replace("&quot;", '"').replace("&lt;", "<")
             .replace("&gt;", ">").replace("&amp;", "&"))
 
@@ -113,30 +124,8 @@ def _parse_attrs(text: str) -> Dict[str, str]:
 
 def iter_tags(html: str) -> List[Tag]:
     """All start tags in document order (comments and closers skipped)."""
-    tags: List[Tag] = []
-    index = 0
-    length = len(html)
-    while index < length:
-        open_pos = html.find("<", index)
-        if open_pos == -1:
-            break
-        if html.startswith("<!--", open_pos):
-            end = html.find("-->", open_pos)
-            index = length if end == -1 else end + 3
-            continue
-        close_pos = html.find(">", open_pos)
-        if close_pos == -1:
-            break
-        inner = html[open_pos + 1:close_pos]
-        index = close_pos + 1
-        if not inner or inner.startswith("/") or inner.startswith("!"):
-            continue
-        name_end = 0
-        while name_end < len(inner) and inner[name_end] not in " \t\r\n/>":
-            name_end += 1
-        name = inner[:name_end].lower()
-        tags.append(Tag(name=name, attrs=_parse_attrs(inner[name_end:])))
-    return tags
+    return [tag for tag in _iter_tags_with_closers(html)
+            if not tag.name.startswith("/")]
 
 
 def parse_page(html: str) -> ParsedPage:
@@ -177,31 +166,15 @@ def parse_page(html: str) -> ParsedPage:
 
 def _iter_tags_with_closers(html: str) -> List[Tag]:
     tags: List[Tag] = []
-    index = 0
-    length = len(html)
-    while index < length:
-        open_pos = html.find("<", index)
-        if open_pos == -1:
-            break
-        if html.startswith("<!--", open_pos):
-            end = html.find("-->", open_pos)
-            index = length if end == -1 else end + 3
-            continue
-        close_pos = html.find(">", open_pos)
-        if close_pos == -1:
-            break
-        inner = html[open_pos + 1:close_pos]
-        index = close_pos + 1
-        if not inner or inner.startswith("!"):
-            continue
-        if inner.startswith("/"):
-            tags.append(Tag(name="/" + inner[1:].strip().lower(), attrs={}))
-            continue
-        name_end = 0
-        while name_end < len(inner) and inner[name_end] not in " \t\r\n/>":
-            name_end += 1
-        name = inner[:name_end].lower()
-        tags.append(Tag(name=name, attrs=_parse_attrs(inner[name_end:])))
+    for match in _TOKEN.finditer(html):
+        slash, name, rest = match.groups()
+        if name is None:
+            continue  # a comment
+        if slash:
+            tags.append(Tag(name="/" + (name + rest).strip().lower(),
+                            attrs={}))
+        elif (name or rest) and not name.startswith("!"):
+            tags.append(Tag(name=name.lower(), attrs=_parse_attrs(rest)))
     return tags
 
 

@@ -16,6 +16,17 @@ from repro.datasets import paper
 from repro.tracking import PersistenceAnalyzer
 
 
+#: Fingerprint of the calibrated crawl.  Any change to the traffic the
+#: measurement browser sends or receives moves it; so does a change to the
+#: order of the cookies it attaches.
+CALIBRATED_CRAWL_FINGERPRINT = (
+    "4dbe2635b79b834cf7ceea8f499b248b4bec6517e3638c30259aae5869942241")
+
+
+def test_calibrated_crawl_fingerprint_is_pinned(crawl):
+    assert crawl.fingerprint() == CALIBRATED_CRAWL_FINGERPRINT
+
+
 # -- §3.2 population ---------------------------------------------------------
 
 def test_population_sizes(study_spec):

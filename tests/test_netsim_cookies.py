@@ -1,7 +1,13 @@
 """RFC 6265 cookie jar semantics."""
 
+import copyreg
+import pickle
+from dataclasses import replace
 
-from repro.netsim import CookieJar, Url, parse_set_cookie
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.netsim import Cookie, CookieJar, Url, parse_set_cookie
 
 
 def _url(text="https://www.shop.com/account"):
@@ -113,3 +119,164 @@ def test_clear():
     jar.set_from_header("a=1", _url())
     jar.clear()
     assert len(jar) == 0
+
+
+# -- differential check against the linear-scan jar ---------------------------
+
+class _LinearJar:
+    """Reference jar: the plain RFC 6265 linear scan over every cookie."""
+
+    def __init__(self):
+        self._cookies = {}
+
+    def set_cookie(self, cookie, partition=""):
+        key = (partition, cookie.domain, cookie.path, cookie.name)
+        existing = self._cookies.get(key)
+        if existing is not None:
+            cookie.creation_time = existing.creation_time
+        self._cookies[key] = cookie
+
+    def cookies_for(self, url, now=0.0, partition=""):
+        matches = []
+        for (cookie_partition, _, _, _), cookie in self._cookies.items():
+            if cookie_partition != partition:
+                continue
+            if cookie.is_expired(now):
+                continue
+            if not cookie.domain_matches(url.host):
+                continue
+            if not cookie.path_matches(url.path):
+                continue
+            if cookie.secure and url.scheme != "https":
+                continue
+            matches.append(cookie)
+        matches.sort(key=lambda c: (-len(c.path), c.creation_time))
+        return matches
+
+    def all_cookies(self):
+        return list(self._cookies.values())
+
+    def clear_expired(self, now):
+        expired = [key for key, cookie in self._cookies.items()
+                   if cookie.is_expired(now)]
+        for key in expired:
+            del self._cookies[key]
+        return len(expired)
+
+
+# Repeated entries weight the draws towards jars where lookups overlap.
+_PARTITIONS = ("", "", "shop-a.com", "shop-b.com")
+_HOSTS = ("shop.com", "www.shop.com", "a.www.shop.com", "evilshop.com",
+          "com")
+_COOKIE_DOMAINS = _HOSTS + ("shop.com", "www.shop.com", "", "Shop.com")
+_PATHS = ("/", "/a", "/a/", "/a/b", "/ab")
+_TIMES = (0.0, 5.0, 10.0, 15.0, 25.0)
+
+_cookies = st.builds(
+    Cookie,
+    name=st.sampled_from(("id", "uid")),
+    value=st.sampled_from(("1", "2")),
+    domain=st.sampled_from(_COOKIE_DOMAINS),
+    path=st.sampled_from(_PATHS),
+    secure=st.booleans(),
+    host_only=st.booleans(),
+    expires=st.sampled_from((None, None, 10.0, 20.0)),
+    creation_time=st.sampled_from((0.0, 1.0)))
+
+
+@st.composite
+def _request_urls(draw):
+    host = draw(st.sampled_from(_HOSTS))
+    spelling = draw(st.sampled_from(("plain", "plain", "upper", "dot")))
+    if spelling == "upper":
+        host = host.upper()
+    elif spelling == "dot":
+        host += "."
+    return Url(scheme=draw(st.sampled_from(("https", "https", "http"))),
+               host=host,
+               path=draw(st.sampled_from(("/", "/a/b", "/a/b/c", "/ab"))))
+
+
+# Each step stores a few cookies, then queries, expires or pickles.
+_steps = st.lists(st.tuples(
+    st.lists(st.tuples(_cookies, st.sampled_from(_PARTITIONS)), max_size=5),
+    st.one_of(
+        st.tuples(st.just("clear_expired"), st.sampled_from(_TIMES)),
+        st.tuples(st.just("pickle")),
+        st.tuples(st.just("query"), st.lists(st.tuples(
+            _request_urls(), st.sampled_from(_PARTITIONS),
+            st.sampled_from(_TIMES)), min_size=1, max_size=6)))),
+    max_size=12)
+
+
+def _state(cookies):
+    return [repr(cookie) for cookie in cookies]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_steps)
+def test_jar_answers_like_the_linear_scan(steps):
+    jar, reference = CookieJar(), _LinearJar()
+    for placed, (action, *arguments) in steps:
+        for cookie, partition in placed:
+            jar.set_cookie(replace(cookie), partition=partition)
+            reference.set_cookie(replace(cookie), partition=partition)
+        if action == "clear_expired":
+            assert jar.clear_expired(*arguments) == \
+                reference.clear_expired(*arguments)
+        elif action == "pickle":
+            jar = pickle.loads(pickle.dumps(jar))
+        else:
+            for url, partition, now in arguments[0]:
+                assert _state(jar.cookies_for(url, now, partition)) == \
+                    _state(reference.cookies_for(url, now, partition))
+        assert _state(jar.all_cookies()) == _state(reference.all_cookies())
+    assert len(jar) == len(reference.all_cookies())
+
+
+class _StoredJar:
+    """Pickles exactly as a jar whose ``__dict__`` holds only ``_cookies``.
+
+    That is the shape older checkpoints carry; unpickling one must give a
+    working jar, not one missing whatever the current class keeps beside
+    the cookies.
+    """
+
+    def __init__(self, cookies):
+        self._cookies = cookies
+
+    @property
+    def __class__(self):
+        return CookieJar
+
+    def __reduce_ex__(self, protocol):
+        return (copyreg.__newobj__, (CookieJar,),
+                {"_cookies": self._cookies})
+
+
+def test_jar_pickled_as_bare_cookies_loads_working():
+    reference = _LinearJar()
+    setters = (("https://www.shop.com/", "sid=1; Path=/a", ""),
+               ("https://www.shop.com/", "uid=2; Domain=shop.com", ""),
+               ("https://px.tracker.net/", "t=3; Domain=tracker.net",
+                "shop-a.com"),
+               ("https://px.tracker.net/", "t=4; Secure", ""))
+    for now, (url, header, partition) in enumerate(setters):
+        reference.set_cookie(parse_set_cookie(header, Url.parse(url),
+                                              now=float(now)),
+                             partition=partition)
+    stored = pickle.dumps(_StoredJar(dict(reference._cookies)),
+                          protocol=pickle.HIGHEST_PROTOCOL)
+    jar = pickle.loads(stored)
+    assert isinstance(jar, CookieJar)
+    assert pickle.dumps(jar, protocol=pickle.HIGHEST_PROTOCOL) == stored
+    for url in ("https://www.shop.com/a/x", "https://shop.com/",
+                "http://px.tracker.net/", "https://px.tracker.net/"):
+        for partition in ("", "shop-a.com"):
+            assert _state(jar.cookies_for(Url.parse(url), 0.0, partition)) \
+                == _state(reference.cookies_for(Url.parse(url), 0.0,
+                                                partition))
+    jar.set_cookie(parse_set_cookie("late=5", Url.parse("https://shop.com/"),
+                                    now=9.0))
+    assert jar.cookie_header(Url.parse("https://shop.com/")) == \
+        "uid=2; late=5"

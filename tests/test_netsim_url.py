@@ -104,6 +104,27 @@ def test_percent_decode_tolerates_malformed():
     assert percent_decode("%") == "%"
 
 
+@pytest.mark.parametrize("text, decoded", [
+    ("%4", "%4"),
+    ("x%A", "x%A"),
+    ("%+1", "% 1"),
+    ("% 1", "% 1"),
+    ("%%41", "%A"),
+    ("%4%41", "%4A"),
+    ("%e2%82%AC", "\u20ac"),
+])
+def test_percent_decode_only_decodes_two_hex_digits(text, decoded):
+    assert percent_decode(text) == decoded
+
+
+def test_percent_encode_table_follows_safe():
+    text = "a b/@:\u00e9~"
+    assert percent_encode(text) == "a%20b%2F%40%3A%C3%A9~"
+    assert percent_encode(text, safe="/") == "a%20b/%40%3A%C3%A9~"
+    assert percent_encode(text, safe="@:") == "a%20b%2F@:%C3%A9~"
+    assert percent_encode(text) == "a%20b%2F%40%3A%C3%A9~"
+
+
 def test_encode_decode_query_round_trip():
     pairs = [("email", "foo@mydom.com"), ("n", "a b"), ("n", "c&d")]
     assert decode_query(encode_query(pairs)) == pairs

@@ -1,6 +1,16 @@
 """HTML generation and parsing."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.crawler import StudyCrawler
+from repro.websim import html as html_module
+from repro.websim.generator import GeneratorConfig, generate_population
 from repro.websim.html import (
+    Tag,
+    _iter_tags_with_closers,
+    _parse_attrs,
     iter_tags,
     parse_page,
     render_document,
@@ -86,3 +96,89 @@ def test_iter_tags_names_lowercased():
 def test_form_method_defaults_to_get():
     page = parse_page('<form action="/s"><input name="e"></form>')
     assert page.forms[0].method == "GET"
+
+
+# -- differential check against the hand-written tokenizer --------------------
+
+def _reference_tags_with_closers(html):
+    """Reference tokenizer: one ``find``-driven pass per ``<``."""
+    tags = []
+    index = 0
+    length = len(html)
+    while index < length:
+        open_pos = html.find("<", index)
+        if open_pos == -1:
+            break
+        if html.startswith("<!--", open_pos):
+            end = html.find("-->", open_pos)
+            index = length if end == -1 else end + 3
+            continue
+        close_pos = html.find(">", open_pos)
+        if close_pos == -1:
+            break
+        inner = html[open_pos + 1:close_pos]
+        index = close_pos + 1
+        if not inner or inner.startswith("!"):
+            continue
+        if inner.startswith("/"):
+            tags.append(Tag(name="/" + inner[1:].strip().lower(), attrs={}))
+            continue
+        name_end = 0
+        while name_end < len(inner) and inner[name_end] not in " \t\r\n/>":
+            name_end += 1
+        name = inner[:name_end].lower()
+        tags.append(Tag(name=name, attrs=_parse_attrs(inner[name_end:])))
+    return tags
+
+
+def _reference_parse_page(html, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(html_module, "_iter_tags_with_closers",
+                      _reference_tags_with_closers)
+        return parse_page(html)
+
+
+_FRAGMENTS = ("<", ">", "</", "/>", "<!--", "-->", "<!-->", "<!", "!", "-",
+              "/", " ", "\t", "\n", "\f", " ", "=", '"', "'", "&amp;",
+              "&", "form", "FORM", "input", "Img", "a", "x", "src", "name",
+              "value", "<!DOCTYPE html>", "</form >", "</ form\n>")
+_documents = st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map("".join),
+    st.text(alphabet="<>!-/ \t=\"'aF&", max_size=40))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_documents)
+def test_tokenizer_matches_the_reference(html):
+    expected = _reference_tags_with_closers(html)
+    assert _iter_tags_with_closers(html) == expected
+    assert iter_tags(html) == [tag for tag in expected
+                               if not tag.name.startswith("/")]
+
+
+@pytest.mark.parametrize("html", [
+    '<img src="a"><!-- <script src="b"></script>',  # unterminated comment
+    '<!--><img src="a"><!--->',
+    '<p>x<img src="a"',  # no closing '>'
+    '<form action="/a"></ form ></FORM\t>',
+    '</!x><!x><>< x>',
+])
+def test_tokenizer_edge_cases_match_the_reference(html, monkeypatch):
+    assert _iter_tags_with_closers(html) == _reference_tags_with_closers(html)
+    assert parse_page(html) == _reference_parse_page(html, monkeypatch)
+
+
+def test_every_served_page_parses_like_the_reference(monkeypatch):
+    population = generate_population(seed=404, config=GeneratorConfig(
+        n_sites=404, n_trackers=20, leak_probability=0.5,
+        confirmation_probability=0.2))
+    log = StudyCrawler(population).crawl().log
+    pages = {entry.response.body.decode("utf-8", errors="replace")
+             for entry in log.entries
+             if entry.response is not None and entry.response.headers.get(
+                 "Content-Type", "").startswith("text/html")}
+    assert len(pages) > 2000
+    for html in sorted(pages):
+        assert _iter_tags_with_closers(html) == \
+            _reference_tags_with_closers(html)
+        assert parse_page(html) == _reference_parse_page(html, monkeypatch)
