@@ -10,6 +10,9 @@ quantities the paper's own marginals leave over-constrained (documented in
 EXPERIMENTS.md) get tolerance-based assertions.
 """
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.datasets import paper
@@ -22,9 +25,23 @@ from repro.tracking import PersistenceAnalyzer
 CALIBRATED_CRAWL_FINGERPRINT = (
     "4dbe2635b79b834cf7ceea8f499b248b4bec6517e3638c30259aae5869942241")
 
+#: Digest of the leak events detected in the calibrated crawl, in order.
+#: The crawl fingerprint does not cover detection; this does, so a change
+#: to the token matcher that finds, drops or reorders a leak moves it.
+CALIBRATED_DETECTION_EVENTS = 1836
+CALIBRATED_DETECTION_DIGEST = (
+    "9327caa7d3b7b4ef2462f9f044cc375abd2ec282daa96ffe489b67c3e0c3ddfc")
+
 
 def test_calibrated_crawl_fingerprint_is_pinned(crawl):
     assert crawl.fingerprint() == CALIBRATED_CRAWL_FINGERPRINT
+
+
+def test_calibrated_detection_is_pinned(events):
+    lines = "\n".join(repr(dataclasses.astuple(event)) for event in events)
+    assert len(events) == CALIBRATED_DETECTION_EVENTS
+    assert hashlib.sha256(lines.encode()).hexdigest() == \
+        CALIBRATED_DETECTION_DIGEST
 
 
 # -- §3.2 population ---------------------------------------------------------
