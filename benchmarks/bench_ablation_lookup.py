@@ -1,8 +1,8 @@
 """Ablation: candidate-set lookup strategy.
 
-Compares the Aho-Corasick automaton (one pass over the text for all
+Compares the prefix-anchor pattern index (one pass over the text for all
 tokens) against the naive per-token substring scan a straightforward
-implementation would use.  Both find the same leaks; the automaton's
+implementation would use.  Both find the same leaks; the index's
 advantage grows with the candidate-set size.
 """
 
@@ -25,11 +25,11 @@ def scan_texts(crawl):
     return _scan_texts(crawl)
 
 
-def test_bench_lookup_aho_corasick(benchmark, tokens, scan_texts):
-    def automaton_scan():
+def test_bench_lookup_pattern_index(benchmark, tokens, scan_texts):
+    def indexed_scan():
         return sum(len(tokens.scan(text)) for text in scan_texts)
 
-    hits = benchmark(automaton_scan)
+    hits = benchmark(indexed_scan)
     assert hits > 0
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro import hashes
 from repro.blocklist import RequestContext, RuleSet, easyprivacy_text
-from repro.core import AhoCorasick, CandidateTokenSet, TokenSetConfig
+from repro.core import CandidateTokenSet, PatternIndex, TokenSetConfig
 from repro.core.persona import DEFAULT_PERSONA
 
 _EMAIL = DEFAULT_PERSONA.email.encode()
@@ -30,20 +30,20 @@ def test_bench_token_set_build(benchmark):
         rounds=2, iterations=1)
 
 
-def test_bench_automaton_build(benchmark):
-    """The automaton over the default persona's real candidate tokens
+def test_bench_pattern_index_build(benchmark):
+    """The pattern index over the default persona's real candidate tokens
     (3,478 tokens, 176,080 characters)."""
     patterns = CandidateTokenSet(DEFAULT_PERSONA).tokens()
 
     def build():
-        automaton = AhoCorasick()
+        index = PatternIndex()
         for pattern in patterns:
-            automaton.add(pattern, pattern)
-        automaton.build()
-        return automaton
+            index.add(pattern, pattern)
+        index.build()
+        return index
 
-    automaton = benchmark.pedantic(build, rounds=3, iterations=1)
-    assert len(automaton) == len(patterns)
+    index = benchmark.pedantic(build, rounds=3, iterations=1)
+    assert len(index) == len(patterns)
 
 
 _HIT_CONTEXT = RequestContext(
@@ -103,4 +103,6 @@ def test_bench_caching_resolver(benchmark, study_spec):
         return resolver.resolve("www.facebook.com")
 
     benchmark(lookup)
-    assert resolver.stats.hit_ratio > 0.9
+    # The warm-up is the only miss, however often the benchmark calls.
+    assert resolver.stats.misses == 1
+    assert resolver.stats.hits >= 1

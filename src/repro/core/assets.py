@@ -4,7 +4,7 @@ Every stage of a study hammers the same immutable inputs — the persona's
 candidate token set, the tracker catalog, the PSL — yet the historical
 code paths rebuilt them per call: ``Study.analyze`` enumerated thousands
 of encoding chains per invocation, and every shard rebuilt its
-population and token automaton from scratch.  :class:`CompiledStudyAssets`
+population and token index from scratch.  :class:`CompiledStudyAssets`
 is the one public construction path that replaces those implicit
 rebuilds: a study compiles its assets once and threads them
 ``Study.crawl → supervisor/parallel → runner → detector``.
@@ -16,7 +16,7 @@ Two classes split the work across the process boundary:
   :class:`~repro.core.tokens.CandidateTokenSet` (built recorder-free so
   it can be reused under any trace; see :meth:`replay_token_funnel`)
   and detector factories.  The token set is a function of the persona
-  and the token config alone, so its token table and automaton are
+  and the token config alone, so its token table and index are
   built once per ``(persona, TokenSetConfig)`` per process and shared
   by every bundle — every study and every service job — that asks for
   the same pair.
@@ -110,7 +110,7 @@ class CompiledStudyAssets:
         keyed by ``(persona, token_config)`` by value: every bundle in
         the process — later studies, later service jobs — with the same
         persona and config gets its own set over one token table and
-        one automaton, and only the first pays the build.  Built without a
+        one index, and only the first pays the build.  Built without a
         recorder (generation-funnel tallies are kept as plain ints on
         the set), so one compilation serves every stage and every trace;
         stages that trace call :meth:`replay_token_funnel` to surface
@@ -162,7 +162,7 @@ class StudyAssetsSpec:
         Memoised per process keyed by the spec's value (identity for
         unhashable population specs, e.g. prebuilt ones wrapping live
         populations): all shards executed by one process share a single
-        population + token automaton, and processes forked from a warm
+        population + token index, and processes forked from a warm
         parent inherit its memo copy-on-write.
         """
         key = self._memo_key()
@@ -239,7 +239,7 @@ def _shared_token_set(persona: Persona,
     per process.
 
     Each call returns a set of its own (its scan memo is per bundle)
-    that shares the token table and automaton of the set the memo
+    that shares the token table and index of the set the memo
     holds for the key.  On a miss the new set is built and published
     with ``setdefault``: two threads that race on one key each build
     once and the first published stays, so no lock is needed.  An

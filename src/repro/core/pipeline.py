@@ -86,7 +86,7 @@ class StudyConfig:
     ``workers > 1``.  Both are inert on the serial path.
 
     ``assets`` (a :class:`~repro.core.assets.CompiledStudyAssets`)
-    supplies a prebuilt compile-once bundle — token automaton, PSL — for
+    supplies a prebuilt compile-once bundle — token index, PSL — for
     the hot path; ``None`` (the default) lets the study compile its own
     on first use.  Pass one to share compiled state across several
     studies over the same population.

@@ -17,20 +17,111 @@ configuration mirrors how the search space behaves in practice:
 
 Both knobs are configurable; ``benchmarks/bench_ablation_depth.py`` measures
 the recall/cost trade-off.
+
+The search runs through a :class:`PatternIndex` keyed by each token's first
+few characters: tokens are hash and encoding outputs that share almost no
+prefixes, so a trie over them would hold about one state per character and
+scan no faster than one anchor lookup per text position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Dict, Generic, Iterator, List, Optional, Sequence, Tuple,
+                    TypeVar)
 
 from .. import hashes
 from ..obs import NULL_RECORDER, Recorder
-from .aho import AhoCorasick, Match
 from .persona import Persona
 
 _HEX_CHARS = set("0123456789abcdef")
+
+#: Longest anchor :class:`PatternIndex` keys on; the default
+#: ``TokenSetConfig.min_token_length``.
+_MAX_ANCHOR = 6
+
+Payload = TypeVar("Payload")
+
+
+@dataclass(frozen=True)
+class Match(Generic[Payload]):
+    """One pattern occurrence: ``text[start:end] == pattern``."""
+
+    start: int
+    end: int
+    pattern: str
+    payload: Payload
+
+
+class PatternIndex(Generic[Payload]):
+    """Multi-pattern matcher; add patterns, ``build()``, then search.
+
+    The index is one ``dict`` from an anchor — a pattern's first *k*
+    characters, *k* being the shortest pattern's length capped at
+    ``_MAX_ANCHOR`` — to the indices of the patterns that start with it.
+    A scan looks up the *k* characters at every text position and confirms
+    each candidate with ``str.startswith``.
+    """
+
+    def __init__(self) -> None:
+        self._patterns: List[Tuple[str, Payload]] = []
+        self._anchors: Dict[str, Tuple[int, ...]] = {}
+        self._width = 0
+        self._built = False
+
+    def add(self, pattern: str, payload: Payload) -> None:
+        """Register a pattern with an arbitrary payload.
+
+        Adding after :meth:`build` invalidates the index; it is rebuilt
+        lazily on the next search.
+        """
+        if not pattern:
+            raise ValueError("empty pattern")
+        self._patterns.append((pattern, payload))
+        self._built = False
+
+    def build(self) -> None:
+        """Group the patterns by anchor, in insertion order."""
+        patterns = self._patterns
+        width = min([_MAX_ANCHOR] + [len(p) for p, _ in patterns])
+        anchors: Dict[str, Tuple[int, ...]] = {}
+        for index, (pattern, _) in enumerate(patterns):
+            anchor = pattern[:width]
+            anchors[anchor] = anchors.get(anchor, ()) + (index,)
+        self._anchors = anchors
+        self._width = width
+        self._built = True
+
+    def _hits(self, text: str) -> Iterator[Tuple[int, int, int, int]]:
+        """``(end, -length, index, start)`` of each occurrence, by start."""
+        if not self._built:
+            self.build()
+        anchors = self._anchors
+        width = self._width
+        patterns = self._patterns
+        for start in range(len(text) - width + 1):
+            for index in anchors.get(text[start:start + width], ()):
+                pattern = patterns[index][0]
+                if text.startswith(pattern, start):
+                    yield (start + len(pattern), -len(pattern), index, start)
+
+    def find_all(self, text: str) -> List[Match[Payload]]:
+        """Every occurrence of every pattern in ``text``.
+
+        Ordered by end position, longer pattern first, then equal
+        patterns in insertion order.
+        """
+        patterns = self._patterns
+        return [Match(start, end, *patterns[index])
+                for end, _, index, start in sorted(self._hits(text))]
+
+    def contains_any(self, text: str) -> bool:
+        """Whether any pattern occurs in ``text`` (early exit)."""
+        return next(self._hits(text), None) is not None
+
+    def __len__(self) -> int:
+        return len(self._patterns)
 
 
 @dataclass(frozen=True)
@@ -82,7 +173,7 @@ class CandidateTokenSet:
         short, and deduplicated — as counters and gauges.
 
         ``compiled`` is an already-built set for the same persona and
-        config: the new set shares its token table and automaton, which
+        config: the new set shares its token table and index, which
         are immutable once built, instead of generating them again.
         """
         self.persona = persona
@@ -94,11 +185,11 @@ class CandidateTokenSet:
                 raise ValueError("compiled token set was built for another "
                                  "persona or config")
             self._origins: Dict[str, List[TokenOrigin]] = compiled._origins
-            self._automaton: AhoCorasick[TokenOrigin] = compiled._automaton
+            self._index: PatternIndex[TokenOrigin] = compiled._index
             self.funnel_counts: Dict[str, int] = dict(compiled.funnel_counts)
         else:
             self._origins = {}
-            self._automaton = AhoCorasick()
+            self._index = PatternIndex()
             # Funnel tallies are kept as plain ints so a precomputed
             # token set can *replay* them into any recorder later (see
             # `replay_funnel`) — that is what keeps traces identical
@@ -106,7 +197,7 @@ class CandidateTokenSet:
             # it.
             self.funnel_counts = {name: 0 for name in self.FUNNEL_COUNTERS}
             self._generate()
-            self._automaton.build()
+            self._index.build()
         self.replay_funnel(self.recorder)
 
     # -- generation --------------------------------------------------------
@@ -165,7 +256,7 @@ class CandidateTokenSet:
         bucket = self._origins.setdefault(token, [])
         if origin not in bucket:
             bucket.append(origin)
-            self._automaton.add(token, origin)
+            self._index.add(token, origin)
             self.funnel_counts["tokens.origins"] += 1
         else:
             self.funnel_counts["tokens.duplicate_origins"] += 1
@@ -201,10 +292,11 @@ class CandidateTokenSet:
         return list(self._origins.get(token, []))
 
     def scan(self, text: str) -> List[Match[TokenOrigin]]:
-        """All candidate-token occurrences in ``text`` (single pass)."""
+        """All candidate-token occurrences in ``text`` (single pass), in
+        :meth:`PatternIndex.find_all` order."""
         if not text:
             return []
-        return self._automaton.find_all(text)
+        return self._index.find_all(text)
 
     def scan_distinct(self, text: str) -> List[TokenOrigin]:
         """Distinct origins whose token occurs in ``text``.
@@ -227,7 +319,7 @@ class CandidateTokenSet:
 
     def contains_leak(self, text: str) -> bool:
         """Fast check: does ``text`` contain any candidate token?"""
-        return bool(text) and self._automaton.contains_any(text)
+        return bool(text) and self._index.contains_any(text)
 
 
 def _is_hex(token: str) -> bool:

@@ -188,9 +188,9 @@ def build_count(monkeypatch):
 
 
 def _shared(first, second) -> bool:
-    """Do two token sets share one token table and automaton?"""
+    """Do two token sets share one token table and index?"""
     return first._origins is second._origins and \
-        first._automaton is second._automaton
+        first._index is second._index
 
 
 def test_token_set_is_shared_across_populations(build_count):

@@ -173,9 +173,9 @@ def test_chain_enumeration_order(config):
 
 
 def test_token_set_heap_footprint():
-    # The automaton keeps its states in flat int tables, so a token set
-    # adds a few objects per token to the collector, not a few per trie
-    # state (which was about 500k for this persona).
+    # A token set adds a few objects per token to the collector (the
+    # pattern index is one dict of anchor tuples), not one or more per
+    # token character, as a trie of node objects would.
     gc.collect()
     before = len(gc.get_objects())
     token_set = CandidateTokenSet(DEFAULT_PERSONA)

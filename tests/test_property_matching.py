@@ -1,4 +1,4 @@
-"""Property-based tests for the matchers (Aho-Corasick, ABP patterns)."""
+"""Property-based tests for the matchers (pattern index, ABP patterns)."""
 
 import string
 
@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.blocklist import compile_pattern, parse_filter
-from repro.core import AhoCorasick
+from repro.core import PatternIndex
 
 _ALPHABET = "ab@."
 _PATTERNS = st.lists(
@@ -15,8 +15,18 @@ _PATTERNS = st.lists(
 _TEXTS = st.text(alphabet=_ALPHABET, max_size=60)
 
 
-# Includes a non-BMP character, so transition keys use all 21 bits.
+# Includes a non-BMP character, so anchors hold every code point width.
 _WIDE_ALPHABET = "ab\u00e9\U0001F600"
+
+# Patterns of at least six characters over two letters: the anchor reaches
+# its six-character cap and many patterns share one anchor bucket.  Texts
+# splice the patterns between short runs of noise, so they hold hits.
+_ANCHORED_CASE = st.lists(
+    st.text(alphabet="ab", min_size=6, max_size=10),
+    min_size=1, max_size=8).flatmap(
+        lambda patterns: st.tuples(st.just(patterns), st.lists(
+            st.sampled_from(patterns) | st.text(alphabet="ab", max_size=3),
+            max_size=10).map("".join)))
 
 
 def _naive(text, patterns):
@@ -33,16 +43,16 @@ def _naive(text, patterns):
 
 
 @given(_PATTERNS, _TEXTS)
-def test_aho_corasick_equals_naive_search(patterns, text):
-    automaton = AhoCorasick()
+def test_pattern_index_equals_naive_search(patterns, text):
+    index = PatternIndex()
     for pattern in patterns:
-        automaton.add(pattern, None)
-    result = {(m.start, m.pattern) for m in automaton.find_all(text)}
+        index.add(pattern, None)
+    result = {(m.start, m.pattern) for m in index.find_all(text)}
     assert result == _naive(text, patterns)
 
 
 def _naive_ordered(text, patterns):
-    """Every occurrence, ordered as the automaton reports them: by end,
+    """Every occurrence, ordered as the index reports them: by end,
     then longer pattern first, then insertion order."""
     found = []
     for order, pattern in enumerate(patterns):
@@ -56,25 +66,29 @@ def _naive_ordered(text, patterns):
             for end, _, order, start, pattern in found]
 
 
-@given(st.lists(st.text(alphabet=_WIDE_ALPHABET, min_size=1, max_size=4),
-                min_size=1, max_size=8),
-       st.text(alphabet=_WIDE_ALPHABET, max_size=40))
-def test_aho_corasick_match_order_equals_naive(patterns, text):
+@given(st.one_of(
+    st.tuples(st.lists(st.text(alphabet=_WIDE_ALPHABET, min_size=1,
+                               max_size=4),
+                       min_size=1, max_size=8),
+              st.text(alphabet=_WIDE_ALPHABET, max_size=40)),
+    _ANCHORED_CASE))
+def test_pattern_index_match_order_equals_naive(case):
     # Patterns may repeat; each copy carries its own payload.
-    automaton = AhoCorasick()
+    patterns, text = case
+    index = PatternIndex()
     for order, pattern in enumerate(patterns):
-        automaton.add(pattern, order)
+        index.add(pattern, order)
     result = [(m.start, m.end, m.pattern, m.payload)
-              for m in automaton.find_all(text)]
+              for m in index.find_all(text)]
     assert result == _naive_ordered(text, patterns)
 
 
 @given(_PATTERNS, _TEXTS)
 def test_contains_any_consistent_with_find_all(patterns, text):
-    automaton = AhoCorasick()
+    index = PatternIndex()
     for pattern in patterns:
-        automaton.add(pattern, None)
-    assert automaton.contains_any(text) == bool(automaton.find_all(text))
+        index.add(pattern, None)
+    assert index.contains_any(text) == bool(index.find_all(text))
 
 
 @given(st.tuples(
