@@ -24,7 +24,9 @@ import tempfile
 
 #: Format magic + version.  Bump the version on incompatible state changes.
 #: Version 2 added the payload-length field and SHA-256 integrity trailer.
-CHECKPOINT_MAGIC = b"repro-crawl-checkpoint:2\n"
+#: Version 3: a traced session's recorder holds one ``MetricSet`` instead
+#: of the ``Counter``/``Gauge`` objects a version-2 pickle refers to.
+CHECKPOINT_MAGIC = b"repro-crawl-checkpoint:3\n"
 
 #: Payload length prefix: one big-endian u64 between magic and pickle.
 _LENGTH_STRUCT = struct.Struct(">Q")

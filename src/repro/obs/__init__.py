@@ -1,7 +1,8 @@
 """Structured observability for the crawl→detect→analyze pipeline.
 
-Dependency-free counters, gauges, timing histograms and hierarchical
-spans (study → stage → shard → site → request), recorded against an
+Dependency-free labelled metrics (one :class:`MetricSet` model of
+counters, gauges and timing histograms) and hierarchical spans
+(study → stage → shard → site → request), recorded against an
 injectable deterministic clock so tracing never perturbs dataset
 fingerprints: a crawl with tracing on is bit-identical to one with
 tracing off, and the merged trace of a parallel crawl is identical at
@@ -46,7 +47,7 @@ from .flame import (
     stage_totals,
     write_folded,
 )
-from .metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram
+from .metrics import DEFAULT_BUCKETS, Histogram, MetricSet
 from .progress import (
     HeartbeatEvent,
     ProgressAggregator,
@@ -70,15 +71,14 @@ from .runtime import (
 
 __all__ = [
     "Clock",
-    "Counter",
     "DEFAULT_BUCKETS",
     "FAIL_ON_GRAMMAR",
     "FailCondition",
     "FailOnError",
-    "Gauge",
     "HeartbeatEvent",
     "Histogram",
     "METRICS_CONTENT_TYPE",
+    "MetricSet",
     "NULL_RECORDER",
     "NullRecorder",
     "ProgressAggregator",

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import warnings
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .recorder import Recorder, Span
+from .recorder import Recorder
 
 #: Schema version of the JSONL trace; bump on incompatible changes.
 TRACE_SCHEMA_VERSION = 1
@@ -26,37 +26,36 @@ class TraceError(ValueError):
 # -- writing ---------------------------------------------------------------
 
 def trace_lines(recorder: Recorder) -> Iterator[str]:
-    """The JSONL lines for everything ``recorder`` holds."""
+    """The JSONL lines for everything ``recorder`` holds.
+
+    Everything comes from :meth:`Recorder.snapshot`: spans depth-first,
+    then counters, gauges and histograms, each name-sorted.
+    """
+    snapshot = recorder.snapshot()
     yield _dumps({"type": "meta", "schema": TRACE_SCHEMA_VERSION,
                   "kind": "repro-trace"})
-    for index, root in enumerate(recorder.roots):
-        for line in _span_lines(root, (index,)):
-            yield line
-    for name in sorted(recorder.counters):
-        yield _dumps({"type": "counter", "name": name,
-                      "value": recorder.counters[name].value})
-    for name in sorted(recorder.gauges):
-        yield _dumps({"type": "gauge", "name": name,
-                      "value": recorder.gauges[name].value})
-    for name in sorted(recorder.histograms):
-        record = recorder.histograms[name].as_dict()
-        record["type"] = "histogram"
-        yield _dumps(record)
+    for span, path in _walk_spans(snapshot["spans"]):
+        yield _dumps({"type": "span", "name": span["name"],
+                      "start": span["start"], "end": span["end"],
+                      "depth": len(path) - 1, "path": list(path),
+                      "attrs": span["attrs"]})
+    for kind in ("counter", "gauge"):
+        values = snapshot[kind + "s"]
+        for name in values:
+            yield _dumps({"type": kind, "name": name,
+                          "value": values[name]})
+    for record in snapshot["histograms"]:
+        yield _dumps(dict(record, type="histogram"))
 
 
-def _span_lines(span: Span, path) -> Iterator[str]:
-    yield _dumps({
-        "type": "span",
-        "name": span.name,
-        "start": span.start,
-        "end": span.end,
-        "depth": len(path) - 1,
-        "path": list(path),
-        "attrs": {key: span.attrs[key] for key in sorted(span.attrs)},
-    })
-    for index, child in enumerate(span.children):
-        for line in _span_lines(child, path + (index,)):
-            yield line
+def _walk_spans(spans: List[Dict[str, object]], path: Tuple[int, ...] = ()
+                ) -> Iterator[Tuple[Dict[str, object], Tuple[int, ...]]]:
+    """Depth-first ``(span dict, path)`` over snapshot span trees."""
+    for index, span in enumerate(spans):
+        here = path + (index,)
+        yield span, here
+        for item in _walk_spans(span["children"], here):
+            yield item
 
 
 def _dumps(record: Dict[str, object]) -> str:
@@ -231,19 +230,13 @@ def _total_duration_then_name(item):
 
 def summarize_recorder(recorder: Recorder, top: int = 20) -> str:
     """Summary straight from a live recorder (no file round-trip)."""
+    snapshot = recorder.snapshot()
     records: Dict[str, List[Dict[str, object]]] = {
-        "span": [], "counter": [], "gauge": [], "histogram": [],
+        "span": [span for span, _ in _walk_spans(snapshot["spans"])],
+        "counter": [{"name": name, "value": value}
+                    for name, value in snapshot["counters"].items()],
+        "gauge": [{"name": name, "value": value}
+                  for name, value in snapshot["gauges"].items()],
+        "histogram": snapshot["histograms"],
     }
-    for span, depth in recorder.all_spans():
-        records["span"].append({"name": span.name, "start": span.start,
-                                "end": span.end, "depth": depth,
-                                "attrs": span.attrs})
-    for name in sorted(recorder.counters):
-        records["counter"].append({"name": name,
-                                   "value": recorder.counters[name].value})
-    for name in sorted(recorder.gauges):
-        records["gauge"].append({"name": name,
-                                 "value": recorder.gauges[name].value})
-    for name in sorted(recorder.histograms):
-        records["histogram"].append(recorder.histograms[name].as_dict())
     return summarize_trace(records, top=top)

@@ -1,9 +1,11 @@
-"""Prometheus text exposition for :class:`repro.obs.runtime.RuntimeMetrics`.
+"""Prometheus text exposition for a :class:`repro.obs.metrics.MetricSet`.
 
-Renders a registry snapshot as the Prometheus text format (version
-0.0.4): ``# HELP``/``# TYPE`` headers, escaped label values, cumulative
-``le`` histogram buckets ending in ``+Inf``, ``_sum``/``_count`` series.
-The output is deterministic for a given registry state — families and
+Renders a metric set's snapshot (in the service: the locked
+:class:`repro.obs.runtime.RuntimeMetrics` registry) as the Prometheus
+text format (version 0.0.4): ``# HELP``/``# TYPE`` headers, escaped
+label values, cumulative ``le`` histogram buckets ending in ``+Inf``,
+``_sum``/``_count`` series.
+The output is deterministic for a given set's state — families and
 series render name-sorted — which is what lets the test suite pin a
 golden scrape byte for byte.
 
@@ -16,10 +18,9 @@ library.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping
 
-from .metrics import Histogram
-from .runtime import KIND_HISTOGRAM, RuntimeMetrics
+from .metrics import KIND_HISTOGRAM, MetricSet
 
 #: The content type a /metrics response must declare.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -59,36 +60,24 @@ def _labels_text(labels: Mapping[str, str]) -> str:
     return "{%s}" % inner
 
 
-def _bound_text(bound: float) -> str:
-    return format_value(bound)
-
-
 def _render_histogram(lines: List[str], name: str,
                       labels: Mapping[str, str],
                       histogram: Mapping[str, object]) -> None:
-    bounds = [float(b) for b in histogram.get("bounds", [])]
-    buckets = [int(c) for c in histogram.get("bucket_counts", [])]
+    """Append one :meth:`Histogram.as_dict` record's exposition lines."""
+    edges = [format_value(bound) for bound in histogram["bounds"]]
     cumulative = 0
-    for index, bound in enumerate(bounds):
-        cumulative += buckets[index] if index < len(buckets) else 0
-        le_labels = dict(labels)
-        le_labels["le"] = _bound_text(bound)
-        lines.append("%s_bucket%s %d"
-                     % (name, _labels_text(le_labels), cumulative))
-    cumulative += buckets[len(bounds)] if len(buckets) > len(bounds) else 0
-    inf_labels = dict(labels)
-    inf_labels["le"] = "+Inf"
-    lines.append("%s_bucket%s %d" % (name, _labels_text(inf_labels),
-                                     cumulative))
+    for edge, count in zip(edges + ["+Inf"], histogram["bucket_counts"]):
+        cumulative += count
+        lines.append("%s_bucket%s %d" % (
+            name, _labels_text(dict(labels, le=edge)), cumulative))
     lines.append("%s_sum%s %s" % (name, _labels_text(labels),
-                                  format_value(float(histogram.get(
-                                      "total", 0.0)))))  # type: ignore[arg-type]
+                                  format_value(histogram["total"])))
     lines.append("%s_count%s %d" % (name, _labels_text(labels),
-                                    int(histogram.get("count", 0))))  # type: ignore[call-overload]
+                                    histogram["count"]))
 
 
-def render_prometheus(metrics: RuntimeMetrics) -> str:
-    """The registry as Prometheus text; ends with a newline."""
+def render_prometheus(metrics: MetricSet) -> str:
+    """The metric set as Prometheus text; ends with a newline."""
     lines: List[str] = []
     for family in metrics.families():
         name = str(family["name"])
@@ -107,15 +96,6 @@ def render_prometheus(metrics: RuntimeMetrics) -> str:
                              % (name, _labels_text(labels),
                                 format_value(entry["value"])))  # type: ignore[index,arg-type]
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def render_histogram_standalone(histogram: Histogram,
-                                labels: Mapping[str, str] = {}) -> str:
-    """One histogram as exposition lines (used by tests and docs)."""
-    lines: List[str] = []
-    _render_histogram(lines, histogram.name, dict(labels),
-                      histogram.as_dict())
-    return "\n".join(lines) + "\n"
 
 
 def parse_exposition(text: str) -> Dict[str, float]:
@@ -153,49 +133,11 @@ def _parse_value(text: str) -> float:
     return float(text)
 
 
-def split_series(series: str) -> Tuple[str, Dict[str, str]]:
-    """``name{a="b"}`` -> ``("name", {"a": "b"})`` (best-effort).
-
-    Handles the subset of label syntax this package renders — escaped
-    quotes included — which is all the ticker needs.
-    """
-    if "{" not in series:
-        return series, {}
-    name, _, rest = series.partition("{")
-    rest = rest.rstrip("}")
-    labels: Dict[str, str] = {}
-    key = ""
-    buff = ""
-    in_value = False
-    escaped = False
-    for char in rest:
-        if in_value:
-            if escaped:
-                buff += {"n": "\n"}.get(char, char)
-                escaped = False
-            elif char == "\\":
-                escaped = True
-            elif char == '"':
-                labels[key] = buff
-                key, buff, in_value = "", "", False
-            else:
-                buff += char
-        elif char == '"':
-            in_value = True
-        elif char in ",=":
-            continue
-        else:
-            key += char
-    return name, labels
-
-
 __all__ = [
     "CONTENT_TYPE",
     "escape_help",
     "escape_label_value",
     "format_value",
     "parse_exposition",
-    "render_histogram_standalone",
     "render_prometheus",
-    "split_series",
 ]

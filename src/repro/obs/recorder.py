@@ -1,10 +1,11 @@
 """The recorder: one study's metrics and span tree.
 
 A :class:`Recorder` is the unit of observability state the pipeline
-threads through itself: counters/gauges/histograms plus a hierarchy of
-:class:`Span` intervals (study → stage → shard → site → request).  It
-is picklable as a whole (plain dataclasses, no lambdas, no handles —
-the PKL301-303 contract), so per-shard recorders travel back over the
+threads through itself: a :class:`~repro.obs.metrics.MetricSet` of
+counters/gauges/histograms plus a hierarchy of :class:`Span` intervals
+(study → stage → shard → site → request).  It is picklable as a whole
+(plain dataclasses, no lambdas, no handles — the PKL301-303 contract),
+so per-shard recorders travel back over the
 :mod:`repro.crawler.parallel` process boundary and merge
 deterministically in shard-layout order via :meth:`Recorder.adopt`.
 
@@ -22,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .clock import Clock, TickClock
-from .metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram
+from .metrics import (DEFAULT_BUCKETS, KIND_COUNTER, KIND_GAUGE,
+                      KIND_HISTOGRAM, MetricSet)
 
 
 @dataclass
@@ -76,9 +78,8 @@ class Recorder:
 
     def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock: Clock = clock or TickClock()
-        self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, Histogram] = {}
+        #: Every metric recorded so far; series here are unlabelled.
+        self.metrics = MetricSet()
         #: Completed/open top-level spans, in recording order.
         self.roots: List[Span] = []
         self._stack: List[Span] = []
@@ -87,25 +88,16 @@ class Recorder:
 
     def count(self, name: str, n: float = 1) -> None:
         """Increment counter ``name`` by ``n``."""
-        counter = self.counters.get(name)
-        if counter is None:
-            counter = self.counters[name] = Counter(name)
-        counter.inc(n)
+        self.metrics.inc(name, n)
 
     def gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` (last write wins)."""
-        gauge = self.gauges.get(name)
-        if gauge is None:
-            gauge = self.gauges[name] = Gauge(name)
-        gauge.set(value)
+        self.metrics.set_gauge(name, value)
 
     def observe(self, name: str, value: float,
                 bounds: Tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         """Record ``value`` into histogram ``name``."""
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = self.histograms[name] = Histogram(name, bounds)
-        histogram.observe(value)
+        self.metrics.observe(name, value, bounds=bounds)
 
     # -- spans -----------------------------------------------------------
 
@@ -167,25 +159,16 @@ class Recorder:
     def adopt(self, other: "Recorder") -> None:
         """Fold ``other`` into this recorder.
 
-        Metrics merge name-wise (counters sum, gauges last-write-wins,
-        histograms bucket-wise); ``other``'s root spans are grafted, in
-        their recorded order, under this recorder's current span (or as
-        new roots).  Adopting shard recorders in shard-layout order is
-        what makes the merged trace independent of the worker count.
+        Metrics merge by :meth:`MetricSet.merge` (counters sum, gauges
+        last-write-wins, histograms bucket-wise); ``other``'s root spans
+        are grafted, in their recorded order, under this recorder's
+        current span (or as new roots).  Adopting shard recorders in
+        shard-layout order is what makes the merged trace independent
+        of the worker count.
         """
         if not other.enabled:
             return
-        for name in sorted(other.counters):
-            self.count(name, other.counters[name].value)
-        for name in sorted(other.gauges):
-            self.gauge(name, other.gauges[name].value)
-        for name in sorted(other.histograms):
-            theirs = other.histograms[name]
-            mine = self.histograms.get(name)
-            if mine is None:
-                mine = self.histograms[name] = Histogram(
-                    name, theirs.bounds)
-            mine.merge(theirs)
+        self.metrics.merge(other.metrics)
         target = self._stack[-1].children if self._stack else self.roots
         target.extend(other.roots)
 
@@ -205,15 +188,24 @@ class Recorder:
 
         Two recorders are observably identical iff their snapshots are
         equal — this is the object the worker-count-invariance tests
-        compare.
+        compare, and the one the trace exporter and summary read.
+        Counters and gauges map name → value, histograms are
+        :meth:`Histogram.as_dict` records; all three are name-sorted.
         """
+        scalars: Dict[str, Dict[str, object]] = {KIND_COUNTER: {},
+                                                 KIND_GAUGE: {}}
+        histograms: List[object] = []
+        for family in self.metrics.families():
+            kind, name = family["kind"], family["name"]
+            for entry in family["series"]:
+                if kind == KIND_HISTOGRAM:
+                    histograms.append(entry["histogram"])
+                else:
+                    scalars[kind][name] = entry["value"]
         return {
-            "counters": {name: self.counters[name].value
-                         for name in sorted(self.counters)},
-            "gauges": {name: self.gauges[name].value
-                       for name in sorted(self.gauges)},
-            "histograms": [self.histograms[name].as_dict()
-                           for name in sorted(self.histograms)],
+            "counters": scalars[KIND_COUNTER],
+            "gauges": scalars[KIND_GAUGE],
+            "histograms": histograms,
             "spans": [root.as_dict() for root in self.roots],
         }
 

@@ -2,8 +2,9 @@
 
 Everything in :mod:`repro.obs` so far lives in the *deterministic*
 domain — recorders on tick clocks, traces that are bit-identical run
-to run.  This module is deliberately the other half: a thread-safe,
-dependency-free :class:`RuntimeMetrics` registry the service updates
+to run.  This module is deliberately the other half: the thread-safe
+:class:`RuntimeMetrics` registry (the recorder's
+:class:`~repro.obs.metrics.MetricSet` under a lock) the service updates
 on every request and job transition (queue depth, jobs by state,
 submit/run latency, SSE subscribers, bytes served), plus per-shard
 *resource accounting* (:class:`ResourceSampler` over
@@ -35,10 +36,9 @@ from __future__ import annotations
 import gc
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .metrics import Histogram
+from .metrics import MetricSet
 
 try:                        # Unix-only; the sampler degrades gracefully.
     import resource as _resource
@@ -51,14 +51,6 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
     0.005, 0.02, 0.1, 0.5, 2.0, 10.0, 60.0, 300.0,
 )
 
-KIND_COUNTER = "counter"
-KIND_GAUGE = "gauge"
-KIND_HISTOGRAM = "histogram"
-
-#: A series is keyed by its sorted ``(label, value)`` pairs.
-LabelKey = Tuple[Tuple[str, str], ...]
-
-
 def wall_now() -> float:
     """Wall-clock seconds for runtime telemetry (monotonic).
 
@@ -68,144 +60,55 @@ def wall_now() -> float:
     return time.perf_counter()  # statan: ignore[DET101] -- ops telemetry clock by contract; never feeds a fingerprint or trace
 
 
-def _label_key(labels: Optional[Mapping[str, str]]) -> LabelKey:
-    if not labels:
-        return ()
-    return tuple(sorted((str(key), str(value))
-                        for key, value in labels.items()))
+class RuntimeMetrics(MetricSet):
+    """The service's :class:`~repro.obs.metrics.MetricSet`, under a lock.
 
-
-@dataclass
-class _Family:
-    """One metric family: a name, a kind, and its labeled series."""
-
-    name: str
-    kind: str
-    help: str = ""
-    bounds: Tuple[float, ...] = LATENCY_BUCKETS
-    #: counter/gauge series hold floats; histogram series Histograms.
-    series: Dict[LabelKey, object] = field(default_factory=dict)
-
-
-class RuntimeMetrics:
-    """A thread-safe registry of labeled counters, gauges, histograms.
-
-    Deliberately dependency-free and small: families are created on
-    first touch, every mutation happens under one lock, and
-    :meth:`families` returns a deep snapshot so the exposition layer
-    renders a consistent view while updates keep landing.  Instances
-    are parent-side service state — they never cross a process
-    boundary (workers report resources via heartbeats instead).
-
-    Kind conflicts fail loudly: touching ``name`` as a counter after
-    it existed as a gauge raises :class:`ValueError` rather than
-    silently corrupting the series.
+    Same model, same semantics as the trace recorder's set — families
+    created on first touch, a name bound to one kind, series keyed by
+    sorted labels — with :data:`LATENCY_BUCKETS` as the default
+    histogram bounds.  Every method runs under one lock, so
+    :meth:`families` is a consistent snapshot while updates keep
+    landing.  Instances are parent-side service state and never cross
+    a process boundary (workers report resources via heartbeats).
     """
 
     def __init__(self) -> None:
-        # Service-side only: the registry never crosses the process
-        # boundary (resource samples ride picklable heartbeats).
+        super().__init__(bounds=LATENCY_BUCKETS)
         self._lock = threading.Lock()  # statan: ignore[PKL303] -- parent-side registry, never pickled
-        self._families: Dict[str, _Family] = {}
 
-    # -- mutation --------------------------------------------------------
-
-    def inc(self, name: str, amount: float = 1.0, help: str = "",
+    def inc(self, name: str, amount: float = 1, help: str = "",
             labels: Optional[Mapping[str, str]] = None) -> None:
-        """Add ``amount`` to a counter series (created at 0)."""
-        key = _label_key(labels)
         with self._lock:
-            family = self._family_locked(name, KIND_COUNTER, help)
-            family.series[key] = float(family.series.get(key, 0.0)) + amount
+            super().inc(name, amount, help, labels)
 
     def set_gauge(self, name: str, value: float, help: str = "",
                   labels: Optional[Mapping[str, str]] = None) -> None:
-        """Set a gauge series to ``value`` (last write wins)."""
-        key = _label_key(labels)
         with self._lock:
-            family = self._family_locked(name, KIND_GAUGE, help)
-            family.series[key] = float(value)
+            super().set_gauge(name, value, help, labels)
 
     def add_gauge(self, name: str, delta: float, help: str = "",
                   labels: Optional[Mapping[str, str]] = None) -> None:
-        """Adjust a gauge series by ``delta`` (e.g. subscriber +1/-1)."""
-        key = _label_key(labels)
         with self._lock:
-            family = self._family_locked(name, KIND_GAUGE, help)
-            family.series[key] = float(family.series.get(key, 0.0)) + delta
+            super().add_gauge(name, delta, help, labels)
 
     def observe(self, name: str, value: float, help: str = "",
                 labels: Optional[Mapping[str, str]] = None,
                 bounds: Optional[Tuple[float, ...]] = None) -> None:
-        """Record ``value`` into a histogram series.
-
-        ``bounds`` fixes the bucket upper edges on first touch
-        (default: :data:`LATENCY_BUCKETS`); later observations reuse
-        the family's bounds.
-        """
-        key = _label_key(labels)
         with self._lock:
-            family = self._family_locked(name, KIND_HISTOGRAM, help,
-                                         bounds=bounds)
-            histogram = family.series.get(key)
-            if histogram is None:
-                histogram = Histogram(name=name, bounds=family.bounds)
-                family.series[key] = histogram
-            histogram.observe(float(value))  # type: ignore[union-attr]
+            super().observe(name, value, help, labels, bounds)
 
-    def _family_locked(self, name: str, kind: str, help: str,
-                       bounds: Optional[Tuple[float, ...]] = None
-                       ) -> _Family:
-        family = self._families.get(name)
-        if family is None:
-            family = _Family(name=name, kind=kind, help=help,
-                             bounds=tuple(bounds or LATENCY_BUCKETS))
-            self._families[name] = family
-        elif family.kind != kind:
-            raise ValueError(
-                "metric %r is a %s; cannot use it as a %s"
-                % (name, family.kind, kind))
-        if help and not family.help:
-            family.help = help
-        return family
-
-    # -- reading ---------------------------------------------------------
+    def merge(self, other: MetricSet) -> None:
+        with self._lock:
+            super().merge(other)
 
     def value(self, name: str,
               labels: Optional[Mapping[str, str]] = None) -> float:
-        """A counter/gauge series' current value (0.0 when absent)."""
-        key = _label_key(labels)
         with self._lock:
-            family = self._families.get(name)
-            if family is None or family.kind == KIND_HISTOGRAM:
-                return 0.0
-            return float(family.series.get(key, 0.0))  # type: ignore[arg-type]
+            return super().value(name, labels)
 
     def families(self) -> List[Dict[str, object]]:
-        """A consistent, JSON-able snapshot of every family.
-
-        Families and series come out name-sorted so two snapshots of
-        the same state render byte-identically (the golden-file
-        property the exposition tests pin).
-        """
-        out: List[Dict[str, object]] = []
         with self._lock:
-            for name in sorted(self._families):
-                family = self._families[name]
-                series: List[Dict[str, object]] = []
-                for key in sorted(family.series):
-                    value = family.series[key]
-                    entry: Dict[str, object] = {"labels": dict(key)}
-                    if isinstance(value, Histogram):
-                        entry["histogram"] = value.as_dict()
-                    else:
-                        entry["value"] = float(value)  # type: ignore[arg-type]
-                    series.append(entry)
-                out.append({"name": family.name, "kind": family.kind,
-                            "help": family.help,
-                            "bounds": list(family.bounds),
-                            "series": series})
-        return out
+            return super().families()
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +230,6 @@ def _human_bytes(count: float) -> str:
 
 
 __all__ = [
-    "KIND_COUNTER",
-    "KIND_GAUGE",
-    "KIND_HISTOGRAM",
     "LATENCY_BUCKETS",
     "ResourceSampler",
     "RuntimeMetrics",

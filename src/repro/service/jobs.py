@@ -14,9 +14,12 @@ the CLI does — :class:`~repro.crawler.ParallelCrawler` for the crawl
 ``study-manifest.json`` all work unchanged) and
 :meth:`~repro.core.pipeline.Study.analyze` for the downstream funnel.
 Because the crawl is wrapped in the identical ``crawl`` stage span and
-the dataset fingerprint is engine-invariant, a job's served result is
-bit-identical to the same spec run via ``Study.crawl()`` on the CLI
-(asserted in ``tests/test_service_http.py``).
+the sharded fingerprint is worker-count-invariant, a job's served result
+is bit-identical to the same spec run in-process: via ``Study.crawl()``
+at ``workers >= 2`` (asserted in ``tests/test_service_http.py``), and
+via the one-worker :class:`~repro.crawler.ParallelCrawler` at
+``workers=1``, where ``Study.crawl()`` runs the unsharded serial
+session instead (see :meth:`JobSpec.study_config`).
 """
 
 from __future__ import annotations
@@ -257,8 +260,13 @@ class JobSpec:
                      progress: Optional[object] = None):
         """The equivalent :class:`~repro.core.pipeline.StudyConfig`.
 
-        This is the exact config under which ``Study.crawl()`` on the
-        CLI reproduces a served job's fingerprint bit for bit.
+        At ``workers >= 2`` this is the exact config under which
+        ``Study.crawl()`` reproduces a served job's fingerprint bit for
+        bit.  At ``workers=1`` ``Study.crawl()`` runs the unsharded
+        serial session, whose fingerprint differs from the sharded one
+        the service always runs; the served job then equals
+        ``ParallelCrawler(spec.population_spec(), workers=1,
+        num_shards=spec.shards, fault_plan=spec.fault_plan())``.
         """
         from ..core.pipeline import StudyConfig
         return StudyConfig(workers=self.workers, num_shards=self.shards,

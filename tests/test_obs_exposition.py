@@ -8,19 +8,15 @@ intentional, update the golden block to match — consciously.
 
 import math
 
-import pytest
-
 from repro.obs.exposition import (
     CONTENT_TYPE,
     escape_help,
     escape_label_value,
     format_value,
     parse_exposition,
-    render_histogram_standalone,
     render_prometheus,
-    split_series,
 )
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import MetricSet
 from repro.obs.runtime import RuntimeMetrics
 
 # -- escaping & value formatting ------------------------------------------
@@ -78,11 +74,12 @@ def test_label_values_are_escaped_in_sample_lines():
 
 
 def test_histogram_buckets_are_cumulative_and_end_in_inf():
-    histogram = Histogram(name="lat_seconds", bounds=(0.1, 1.0, 10.0))
+    metrics = MetricSet()
     for value in (0.05, 0.5, 0.5, 5.0, 50.0):
-        histogram.observe(value)
-    lines = render_histogram_standalone(histogram).splitlines()
+        metrics.observe("lat_seconds", value, bounds=(0.1, 1.0, 10.0))
+    lines = render_prometheus(metrics).splitlines()
     assert lines == [
+        "# TYPE lat_seconds histogram",
         'lat_seconds_bucket{le="0.1"} 1',
         'lat_seconds_bucket{le="1"} 3',
         'lat_seconds_bucket{le="10"} 4',
@@ -93,9 +90,9 @@ def test_histogram_buckets_are_cumulative_and_end_in_inf():
 
 
 def test_histogram_with_labels_keeps_them_on_every_line():
-    histogram = Histogram(name="lat", bounds=(1.0,))
-    histogram.observe(0.5)
-    text = render_histogram_standalone(histogram, labels={"stage": "crawl"})
+    metrics = MetricSet()
+    metrics.observe("lat", 0.5, labels={"stage": "crawl"}, bounds=(1.0,))
+    text = render_prometheus(metrics)
     assert 'lat_bucket{le="1",stage="crawl"} 1' in text
     assert 'lat_sum{stage="crawl"} 0.5' in text
     assert 'lat_count{stage="crawl"} 1' in text
@@ -169,14 +166,3 @@ def test_parse_handles_special_values():
     assert values["a"] == float("inf")
     assert values["b"] == float("-inf")
     assert math.isnan(values["c"])
-
-
-@pytest.mark.parametrize("series,expected", [
-    ("plain", ("plain", {})),
-    ('jobs{state="running"}', ("jobs", {"state": "running"})),
-    ('req{method="GET",status="200"}',
-     ("req", {"method": "GET", "status": "200"})),
-    ('odd{path="a\\"b\\\\c\\nd"}', ("odd", {"path": 'a"b\\c\nd'})),
-])
-def test_split_series_inverts_the_renderer(series, expected):
-    assert split_series(series) == expected

@@ -71,8 +71,8 @@ def test_heartbeat_counters_reconcile_with_the_merged_trace(workers):
     study = _study(0, workers, progress=sink, trace=True)
     outcome = study.crawl()
     recorder_counters = {
-        name: counter.value
-        for name, counter in outcome.recorder.counters.items()
+        name: value
+        for name, value in outcome.recorder.snapshot()["counters"].items()
         if name.startswith("crawl.")}
     assert sink.counter_totals() == recorder_counters
     assert sink.counter_totals()["crawl.sites"] == _CONFIG.n_sites

@@ -8,6 +8,7 @@ import pytest
 from repro.obs import (
     DEFAULT_BUCKETS,
     Histogram,
+    MetricSet,
     NULL_RECORDER,
     NullRecorder,
     Recorder,
@@ -77,6 +78,48 @@ def test_histogram_bucketing_and_merge():
 def test_histogram_merge_rejects_mismatched_bounds():
     with pytest.raises(ValueError):
         Histogram("h").merge(Histogram("h", bounds=(1.0, 2.0)))
+
+
+def test_recorder_rejects_a_name_reused_across_kinds():
+    recorder = Recorder()
+    recorder.count("crawl.sites")
+    with pytest.raises(ValueError, match="is a counter"):
+        recorder.gauge("crawl.sites", 1.0)
+    with pytest.raises(ValueError, match="cannot use it as a histogram"):
+        recorder.observe("crawl.sites", 1.0)
+    recorder.gauge("tokens.candidates", 3)
+    with pytest.raises(ValueError, match="is a gauge"):
+        recorder.count("tokens.candidates")
+    assert recorder.snapshot()["counters"] == {"crawl.sites": 1}
+    assert recorder.snapshot()["gauges"] == {"tokens.candidates": 3}
+
+
+def _record(metrics, step):
+    """One shard's worth of mixed, labelled and unlabelled writes."""
+    metrics.inc("sites")
+    metrics.inc("requests", 3 + step)
+    metrics.inc("flows", labels={"status": ("ok", "failed")[step % 2]})
+    metrics.set_gauge("depth", step)
+    # Binary-exact, so the merged sum cannot differ in the last bit.
+    metrics.observe("site_s", 0.125 * (step + 1))
+    metrics.observe("bytes", 5 ** step, labels={"kind": "mail"},
+                    bounds=(10, 100, 1000))
+
+
+def test_merging_shard_sets_in_order_equals_one_set():
+    whole = MetricSet()
+    shards = [MetricSet() for _ in range(3)]
+    for step in range(7):
+        _record(whole, step)
+        _record(shards[step * 3 // 7], step)
+    merged = MetricSet()
+    for shard in shards:
+        merged.merge(shard)
+    assert merged.families() == whole.families()
+    assert merged.value("requests") == sum(3 + step for step in range(7))
+    assert isinstance(merged.value("requests"), int)
+    assert merged.value("depth") == 6
+    assert merged.value("flows", labels={"status": "failed"}) == 3
 
 
 # -- span tree -----------------------------------------------------------
@@ -194,7 +237,7 @@ def test_recorder_pickles_round_trip():
     clone.count("more")
     with clone.span("later"):
         pass
-    assert clone.counters["more"].value == 1
+    assert clone.metrics.value("more") == 1
 
 
 # -- export / import -----------------------------------------------------

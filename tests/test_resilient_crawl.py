@@ -137,6 +137,23 @@ def test_checkpoint_rejects_garbage(tmp_path):
         CrawlSession.load(str(path))
 
 
+def test_checkpoint_refuses_a_version_2_header(tmp_path):
+    """Version-2 checkpoints pickle the old Counter/Gauge recorder state;
+    the header check refuses them before any unpickling is attempted."""
+    from repro.crawler.checkpoint import CHECKPOINT_MAGIC
+    path = tmp_path / "crawl.ckpt"
+    StudyCrawler(_population()).start().save(str(path))
+    blob = path.read_bytes()
+    assert blob.startswith(b"repro-crawl-checkpoint:3\n")
+    old = tmp_path / "v2.ckpt"
+    old.write_bytes(b"repro-crawl-checkpoint:2\n"
+                    + blob[len(CHECKPOINT_MAGIC):])
+    with pytest.raises(CheckpointError,
+                       match="is not a version-3 crawl checkpoint "
+                             r"\(bad or outdated header"):
+        CrawlSession.load(str(old))
+
+
 def test_checkpoint_save_is_atomic(tmp_path):
     session = StudyCrawler(_population()).start()
     path = str(tmp_path / "crawl.ckpt")

@@ -3,17 +3,21 @@
 No HTTP here — :mod:`tests.test_service_http` covers the wire.  These
 tests pin the contracts the endpoints are built on: spec parsing and
 validation, result-document shape, the fingerprint parity between a
-job run and ``Study.crawl()`` under the equivalent config, and the
+job run and its in-process twin (``Study.crawl()`` under the equivalent
+config at ``workers >= 2``, the one-worker ``ParallelCrawler`` at
+``workers=1``), and the
 store's crash-recovery semantics (terminal loads get a closed replay
 log; resumable partials get a fresh, open one).
 """
 
+import dataclasses
 import json
 import os
 
 import pytest
 
 from repro.core.pipeline import Study
+from repro.crawler import ParallelCrawler
 from repro.obs import Recorder
 from repro.service import (
     STATE_COMPLETE,
@@ -133,15 +137,27 @@ def test_job_run_records_a_trace(tiny_outcome):
     assert tiny_outcome.recorder.span_count() > 0
 
 
-def test_fingerprint_parity_with_cli_study_crawl(tiny_outcome):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fingerprint_parity_with_cli_study_crawl(workers):
     """The acceptance criterion: a served job's fingerprint is
-    bit-identical to the same spec run via ``Study.crawl()``."""
-    recorder = Recorder()
-    pspec = TINY.population_spec()
-    study = Study(pspec.build(), config=TINY.study_config(recorder=recorder),
-                  population_spec=pspec)
-    result = study.crawl()
-    assert result.dataset.fingerprint() == tiny_outcome.fingerprint
+    bit-identical to the same spec run in-process.
+
+    At ``workers >= 2`` the twin is ``Study.crawl()`` under
+    ``spec.study_config()``.  At ``workers=1`` ``Study.crawl()`` runs
+    the unsharded serial session while the service always shards, so
+    the twin is the sharded ``ParallelCrawler`` at one worker."""
+    spec = dataclasses.replace(TINY, workers=workers)
+    served = JobRun(spec).execute()
+    pspec = spec.population_spec()
+    if workers == 1:
+        dataset = ParallelCrawler(pspec, workers=1, num_shards=spec.shards,
+                                  fault_plan=spec.fault_plan()).crawl()
+    else:
+        study = Study(pspec.build(),
+                      config=spec.study_config(recorder=Recorder()),
+                      population_spec=pspec)
+        dataset = study.crawl().dataset
+    assert dataset.fingerprint() == served.fingerprint
 
 
 def test_job_run_failure_is_captured_not_raised(monkeypatch):

@@ -266,14 +266,14 @@ def test_supervision_events_surface_as_obs_counters():
     recorder = Recorder()
     result = _supervised(2, chaos=chaos, recorder=recorder).run()
     assert result.complete
-    counters = {name for name in recorder.counters
+    counters = {name for name in recorder.snapshot()["counters"]
                 if name.startswith("supervisor.")}
     assert "supervisor.events.%s" % EVENT_WORKER_CRASHED in counters
     assert "supervisor.events.%s" % EVENT_RETRY in counters
 
     clean = Recorder()
     _supervised(2, recorder=clean).run()
-    assert not [name for name in clean.counters
+    assert not [name for name in clean.snapshot()["counters"]
                 if name.startswith("supervisor.")]
 
 
