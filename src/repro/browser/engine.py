@@ -56,7 +56,7 @@ from ..websim.scripts import (
 )
 from ..websim.server import WebServer
 from ..websim.site import TrackerEmbed, Website
-from ..websim.trackers import TrackerCatalog
+from ..websim.trackers import TrackerCatalog, TrackerService
 from .interfaces import ContentBlocker, OutboundFirewall, ensure_protocol
 from .profiles import BrowserProfile, REFERER_STRICT_ORIGIN
 from .resilience import CircuitBreakerRegistry, RequestFailure, RetryPolicy
@@ -144,8 +144,10 @@ class Browser:
         self._consent_decisions: Dict[str, str] = {}
         self.jar = CookieJar()
         self.log = CaptureLog()
-        #: (site domain, service domain) -> stored identifier params.
-        self.tracker_storage: Dict[Tuple[str, str], Dict[str, str]] = {}
+        #: site domain -> service domain -> stored identifier params.
+        self.tracker_storage: Dict[str, Dict[str, Dict[str, str]]] = {}
+        #: (script host, script path) -> the snippet's script URL.
+        self._script_urls: Dict[Tuple[str, str], Url] = {}
         self._captcha_ready: Dict[str, bool] = {}
         self._current_url: Optional[Url] = None
         #: PII exposed in the current page context (set by form submission).
@@ -228,6 +230,10 @@ class Browser:
 
     def _process_page(self, site: Website, page: ParsedPage, page_url: Url,
                       stage: str) -> None:
+        # Rendered once: every request the page makes shares this string
+        # as its ``page_url`` (and as its full-URL ``Referer``).
+        page_text = str(page_url)
+        chain = (page_url,)
         embeds_by_domain = {e.service.domain: e for e in site.embeds}
         for kind, tag in page.resource_tags():
             src = tag.get("src") or tag.get("href")
@@ -237,21 +243,23 @@ class Browser:
             response, _ = self._request(
                 site, "GET", resource_url, b"", None,
                 _TAG_RESOURCE_TYPES[kind],
-                initiator_chain=(page_url,), stage=stage,
-                referer=self._referer_value(page_url, resource_url),
-                page_url=str(page_url))
+                initiator_chain=chain, stage=stage,
+                referer=self._referer_value(page_url, page_text,
+                                            resource_url),
+                page_url=page_text)
             if tag.get("data-captcha") and response is not None:
                 self._captcha_ready[site.domain] = True
             if tag.get("data-cmp") and response is not None:
-                self._answer_consent_banner(site, page_url, stage)
+                self._answer_consent_banner(site, page_url, page_text, stage)
             tracker_domain = tag.get("data-tracker")
             if tracker_domain and response is not None:
                 embed = embeds_by_domain.get(tracker_domain)
                 if embed is not None:
-                    self._run_snippet(site, embed, page_url, stage)
+                    self._run_snippet(site, embed, page_url, page_text,
+                                      stage)
 
     def _answer_consent_banner(self, site: Website, page_url: Url,
-                               stage: str) -> None:
+                               page_text: str, stage: str) -> None:
         """Answer the site's cookie banner per the configured policy.
 
         Mirrors the §3.2 operator behaviour (one decision per site): the
@@ -274,8 +282,9 @@ class Browser:
                                    "choice": self.consent_policy}),
                       "application/json", "xmlhttprequest",
                       initiator_chain=(page_url,), stage=stage,
-                      referer=self._referer_value(page_url, receipt_url),
-                      page_url=str(page_url))
+                      referer=self._referer_value(page_url, page_text,
+                                                  receipt_url),
+                      page_url=page_text)
 
     def _tracking_consented(self, site: Website) -> bool:
         """Whether the site's non-essential snippets may run."""
@@ -288,13 +297,11 @@ class Browser:
         return grants_tracking(decision)
 
     def _run_snippet(self, site: Website, embed: TrackerEmbed,
-                     page_url: Url, stage: str) -> None:
+                     page_url: Url, page_text: str, stage: str) -> None:
         if not self._tracking_consented(site):
             return
-        stored = {
-            service: dict(params)
-            for (stored_site, service), params in self.tracker_storage.items()
-            if stored_site == site.domain}
+        stored = {service: dict(params) for service, params
+                  in self.tracker_storage.get(site.domain, {}).items()}
         ctx = ScriptContext(site=site, page_url=page_url, stage=stage,
                             pii=dict(self._page_pii), stored_state=stored,
                             timestamp=self.clock.now())
@@ -303,20 +310,31 @@ class Browser:
             actions.extend(exfil_actions(embed, ctx))
         else:
             actions.extend(revisit_actions(embed, ctx))
-        script_url = Url(scheme="https", host=embed.service.script_host,
-                         path=embed.service.script_path)
+        chain = (page_url, self._script_url(embed.service))
         for action in actions:
-            self._execute_action(site, action, page_url, script_url, stage)
+            self._execute_action(site, action, page_url, page_text, chain,
+                                 stage)
+
+    def _script_url(self, service: TrackerService) -> Url:
+        """The snippet's script URL, built once per script location."""
+        key = (service.script_host, service.script_path)
+        url = self._script_urls.get(key)
+        if url is None:
+            url = self._script_urls[key] = Url(
+                scheme="https", host=service.script_host,
+                path=service.script_path)
+        return url
 
     def _execute_action(self, site: Website, action: object, page_url: Url,
-                        script_url: Url, stage: str) -> None:
+                        page_text: str, chain: Tuple[Url, ...],
+                        stage: str) -> None:
         if isinstance(action, EmitRequest):
             self._request(
                 site, action.method, action.url, action.body,
                 action.content_type, action.resource_type,
-                initiator_chain=(page_url, script_url), stage=stage,
-                referer=self._referer_value(page_url, action.url),
-                page_url=str(page_url))
+                initiator_chain=chain, stage=stage,
+                referer=self._referer_value(page_url, page_text, action.url),
+                page_url=page_text)
         elif isinstance(action, SetFirstPartyCookie):
             # document.cookie write: a domain cookie on the first party.
             from ..netsim import Cookie
@@ -325,9 +343,8 @@ class Browser:
                 host_only=False, creation_time=self.clock.now(),
                 expires=self.clock.now() + 365 * 24 * 3600))
         elif isinstance(action, StoreTrackerState):
-            key = (site.domain, action.service_domain)
-            self.tracker_storage.setdefault(key, {}).update(
-                dict(action.values))
+            self.tracker_storage.setdefault(site.domain, {}).setdefault(
+                action.service_domain, {}).update(action.values)
 
     # -- the network path --------------------------------------------------
 
@@ -337,7 +354,7 @@ class Browser:
                  referer: Optional[str], page_url: str,
                  redirects: int = 0):
         """Send one request (following redirects); returns (response, url)."""
-        fields = [("User-Agent", self._user_agent())]
+        fields = [self.profile.user_agent_field]
         if referer:
             fields.append(("Referer", referer))
         if content_type:
@@ -529,16 +546,14 @@ class Browser:
             return service.domain
         return default_list().registrable_domain(host) or host
 
-    def _referer_value(self, page_url: Url, target: Url) -> str:
-        """Referer for a subresource request under the profile's policy."""
+    def _referer_value(self, page_url: Url, page_text: str,
+                       target: Url) -> str:
+        """Referer for a subresource request under the profile's policy;
+        ``page_text`` is ``str(page_url)``, rendered once per page."""
         if self.profile.referer_policy == REFERER_STRICT_ORIGIN and \
                 default_list().is_third_party(target.host, page_url.host):
             return page_url.origin + "/"
-        return str(page_url)
-
-    def _user_agent(self) -> str:
-        return "Mozilla/5.0 (compatible; %s/%s; repro-study)" % (
-            self.profile.name, self.profile.version)
+        return page_text
 
 
 def _pii_from_fields(fields: Dict[str, str]) -> Dict[str, str]:

@@ -20,6 +20,7 @@ paper's finding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import FrozenSet, Optional, Tuple
 
 from ..websim.trackers import BRAVE_MISSED_DOMAINS, TrackerCatalog
@@ -66,6 +67,13 @@ class BrowserProfile:
     @property
     def partitions_third_party_storage(self) -> bool:
         return self.cookie_policy == COOKIES_PARTITION_THIRD_PARTY
+
+    @cached_property
+    def user_agent_field(self) -> Tuple[str, str]:
+        """The ``User-Agent`` header field every request sends: built once
+        per profile, so all captured requests share one field."""
+        return ("User-Agent", "Mozilla/5.0 (compatible; %s/%s; repro-study)"
+                % (self.name, self.version))
 
 
 def vanilla_firefox() -> BrowserProfile:

@@ -26,7 +26,9 @@ import tempfile
 #: Version 2 added the payload-length field and SHA-256 integrity trailer.
 #: Version 3: a traced session's recorder holds one ``MetricSet`` instead
 #: of the ``Counter``/``Gauge`` objects a version-2 pickle refers to.
-CHECKPOINT_MAGIC = b"repro-crawl-checkpoint:3\n"
+#: Version 4: the browser's tracker storage is keyed by site, then by
+#: service, and ``Headers`` keep their fields in one tuple.
+CHECKPOINT_MAGIC = b"repro-crawl-checkpoint:4\n"
 
 #: Payload length prefix: one big-endian u64 between magic and pickle.
 _LENGTH_STRUCT = struct.Struct(">Q")

@@ -10,7 +10,7 @@ that capability for the synthetic web.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 RECORD_A = "A"
 RECORD_CNAME = "CNAME"
@@ -41,10 +41,14 @@ class Zone:
 
     records: Dict[str, List[ResourceRecord]] = field(default_factory=dict)
 
+    #: Bumped by every :meth:`add`; resolvers drop their memo when it moves.
+    revision = 0
+
     def add(self, name: str, rtype: str, value: str) -> None:
         record = ResourceRecord(name.lower().rstrip("."), rtype,
                                 value.lower().rstrip("."))
         self.records.setdefault(record.name, []).append(record)
+        self.revision += 1
 
     def add_a(self, name: str, address: str = "203.0.113.10") -> None:
         self.add(name, RECORD_A, address)
@@ -56,9 +60,13 @@ class Zone:
         return self.records.get(name.lower().rstrip("."), [])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Resolution:
-    """Result of resolving a name: the CNAME chain and final address."""
+    """Result of resolving a name: the CNAME chain and final address.
+
+    Frozen because a resolver hands the same memoised answer to every
+    caller that asks for the name.
+    """
 
     query: str
     cname_chain: Tuple[str, ...]
@@ -71,16 +79,55 @@ class Resolution:
 
 
 class Resolver:
-    """Iterative resolver over a :class:`Zone` with loop protection."""
+    """Iterative resolver over a :class:`Zone` with loop protection.
+
+    Answers are memoised per queried name: a crawl asks for the same few
+    hundred hosts tens of thousands of times.  The memo holds the
+    :class:`Resolution` or the :class:`DnsError` message, is dropped
+    whenever the zone's :attr:`Zone.revision` moves (every
+    :meth:`Zone.add`), and is left out of the pickled state.
+    """
 
     def __init__(self, zone: Zone) -> None:
         self._zone = zone
+        self._memo: Dict[str, Union[Resolution, str]] = {}
+        self._memo_revision = zone.revision
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        del state["_memo"], state["_memo_revision"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._memo = {}
+        self._memo_revision = self._zone.revision
 
     def resolve(self, name: str) -> Resolution:
         """Resolve ``name`` to an address, following CNAMEs.
 
         Raises :class:`DnsError` on NXDOMAIN or a CNAME loop.
         """
+        answer = self._answer(name)
+        if isinstance(answer, str):
+            raise DnsError(answer)
+        return answer
+
+    def _answer(self, name: str) -> Union[Resolution, str]:
+        """The memoised resolution of ``name``, or its error message."""
+        if self._memo_revision != self._zone.revision:
+            self._memo.clear()
+            self._memo_revision = self._zone.revision
+        answer = self._memo.get(name)
+        if answer is None:
+            try:
+                answer = self._resolve(name)
+            except DnsError as exc:
+                answer = str(exc)
+            self._memo[name] = answer
+        return answer
+
+    def _resolve(self, name: str) -> Resolution:
         query = name.lower().rstrip(".")
         chain: List[str] = []
         current = query
@@ -104,15 +151,9 @@ class Resolver:
 
     def cname_chain(self, name: str) -> Tuple[str, ...]:
         """The CNAME chain for ``name`` (empty when none or NXDOMAIN)."""
-        try:
-            return self.resolve(name).cname_chain
-        except DnsError:
-            return ()
+        answer = self._answer(name)
+        return () if isinstance(answer, str) else answer.cname_chain
 
     def exists(self, name: str) -> bool:
         """Whether ``name`` resolves to an address."""
-        try:
-            self.resolve(name)
-        except DnsError:
-            return False
-        return True
+        return not isinstance(self._answer(name), str)

@@ -10,17 +10,19 @@ class Headers:
 
     Lookups are case-insensitive; insertion order and original casing are
     preserved for serialization, and repeated fields (``Set-Cookie``) are
-    kept as separate entries.
+    kept as separate entries.  The fields live in one tuple that every
+    edit replaces, so a captured exchange holds no list per header block
+    and :meth:`copy` shares the fields instead of duplicating them.
     """
 
+    __slots__ = ("_items",)
+
     def __init__(self, items: Iterable[Tuple[str, str]] = ()) -> None:
-        self._items: List[Tuple[str, str]] = []
-        for name, value in items:
-            self.add(name, value)
+        self._items: Tuple[Tuple[str, str], ...] = tuple(items)
 
     def add(self, name: str, value: str) -> None:
         """Append a header field (repeats allowed)."""
-        self._items.append((name, value))
+        self._items += ((name, value),)
 
     def set(self, name: str, value: str) -> None:
         """Replace all fields named ``name`` with a single value."""
@@ -30,7 +32,8 @@ class Headers:
     def remove(self, name: str) -> None:
         """Drop all fields named ``name`` (case-insensitive)."""
         lowered = name.lower()
-        self._items = [(n, v) for n, v in self._items if n.lower() != lowered]
+        self._items = tuple((n, v) for n, v in self._items
+                            if n.lower() != lowered)
 
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         """First value for ``name``, or ``default``."""
@@ -74,4 +77,4 @@ class Headers:
         return self._items == other._items
 
     def __repr__(self) -> str:
-        return "Headers(%r)" % (self._items,)
+        return "Headers(%r)" % (list(self._items),)

@@ -49,7 +49,8 @@ class HttpRequest:
     timestamp: float = 0.0
 
     def __post_init__(self) -> None:
-        self.method = self.method.upper()
+        if not self.method.isupper():
+            self.method = self.method.upper()
         if self.resource_type not in RESOURCE_TYPES:
             raise ValueError("unknown resource type: %r" % self.resource_type)
 

@@ -27,6 +27,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .data import SNAPSHOT
 
+#: Cache-miss marker (``None`` is a valid cached registrable domain).
+_MISSING = object()
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -115,14 +118,17 @@ class PublicSuffixList:
 
     def registrable_domain(self, host: str) -> Optional[str]:
         """The eTLD+1 of ``host``, or ``None`` if host *is* a public suffix."""
-        host = _normalize(host)
-        if host in self._registrable_cache:
-            return self._registrable_cache[host]
-        suffix = self.public_suffix(host)
-        if host == suffix:
+        # Memoised by the host as given: hosts arrive normalised almost
+        # always, so a hit skips the normalising copy altogether.
+        cached = self._registrable_cache.get(host, _MISSING)
+        if cached is not _MISSING:
+            return cached
+        normalized = _normalize(host)
+        suffix = self.public_suffix(normalized)
+        if normalized == suffix:
             registrable: Optional[str] = None
         else:
-            labels = host.split(".")
+            labels = normalized.split(".")
             suffix_count = suffix.count(".") + 1
             registrable = ".".join(labels[-(suffix_count + 1):])
         self._registrable_cache[host] = registrable

@@ -328,6 +328,8 @@ class _UnionSteering:
              exclude: Set[int]) -> int:
         """Pick a sender slot for a filler edge with these chains."""
         labels = [_label(chain) for chain in chains]
+        lift = sum(1 for d in self.degree.values() if d >= 3) < \
+            _SENDERS_WITH_3PLUS_TARGET
         best_slot = None
         best_key: Optional[Tuple[int, int, int]] = None
         for slot in range(2, N_SENDERS):  # keep loccitane/nykaa manual
@@ -337,22 +339,23 @@ class _UnionSteering:
             if degree >= 12:
                 continue  # keep loccitane's 16 the unique maximum
             key = (-self._score(slot, labels, channel),
-                   self._degree_rank(degree), slot)
+                   self._degree_rank(degree, lift), slot)
             if best_key is None or key < best_key:
                 best_key = key
                 best_slot = slot
         assert best_slot is not None
         return best_slot
 
-    def _degree_rank(self, degree: int) -> int:
+    @staticmethod
+    def _degree_rank(degree: int, lift: bool) -> int:
         """Tie-break steering the §4.2 degree distribution.
 
-        While fewer than 60 senders have >= 3 receivers, lift degree-2
-        senders over the threshold; afterwards pile extra edges onto
-        already-heavy senders so the 1-2 receiver group stays large.
+        While fewer than 60 senders have >= 3 receivers (``lift``, counted
+        once per :meth:`pick`), lift degree-2 senders over the threshold;
+        afterwards pile extra edges onto already-heavy senders so the 1-2
+        receiver group stays large.
         """
-        senders_3plus = sum(1 for d in self.degree.values() if d >= 3)
-        if senders_3plus < _SENDERS_WITH_3PLUS_TARGET:
+        if lift:
             preference = {2: 0, 3: 1, 4: 2}
             return preference.get(degree, 3 + max(0, 11 - degree))
         return 11 - degree  # highest degree first

@@ -28,6 +28,16 @@ _VOID_TAGS = frozenset({"img", "input", "link", "meta", "br", "hr"})
 _TOKEN = re.compile(r"<!(?=--).*?(?:-->|\Z)|<(/?)([^ \t\r\n/>]*)([^>]*)>",
                     re.DOTALL)
 
+#: One attribute, matched where the previous one ended: separators
+#: (whitespace and ``/``), the name (up to ``=``, whitespace or ``/``),
+#: then optionally ``=`` and a double-quoted, single-quoted (either may
+#: run unterminated to the end) or bare value.  An empty name ends the
+#: attribute list: the text is used up or the next character is ``=``.
+_ATTR = re.compile(r"[ \t\r\n/]*([^= \t\r\n/]*)[ \t\r\n]*"
+                   r'(?:=[ \t\r\n]*(?:"([^"]*)"?'
+                   r"|'([^']*)'?"
+                   r"|([^ \t\r\n>]*)))?").match
+
 
 # --------------------------------------------------------------------------
 # Parsing
@@ -86,40 +96,14 @@ def _unescape(value: str) -> str:
 def _parse_attrs(text: str) -> Dict[str, str]:
     attrs: Dict[str, str] = {}
     index = 0
-    length = len(text)
-    while index < length:
-        while index < length and text[index] in " \t\r\n/":
-            index += 1
-        if index >= length:
-            break
-        start = index
-        while index < length and text[index] not in "= \t\r\n/":
-            index += 1
-        name = text[start:index].lower()
+    while True:
+        match = _ATTR(text, index)
+        name = match.group(1)
         if not name:
-            break
-        while index < length and text[index] in " \t\r\n":
-            index += 1
-        value = ""
-        if index < length and text[index] == "=":
-            index += 1
-            while index < length and text[index] in " \t\r\n":
-                index += 1
-            if index < length and text[index] in "\"'":
-                quote = text[index]
-                index += 1
-                end = text.find(quote, index)
-                if end == -1:
-                    end = length
-                value = text[index:end]
-                index = end + 1
-            else:
-                start = index
-                while index < length and text[index] not in " \t\r\n>":
-                    index += 1
-                value = text[start:index]
-        attrs[name] = _unescape(value)
-    return attrs
+            return attrs
+        value = match.group(2) or match.group(3) or match.group(4) or ""
+        attrs[name.lower()] = _unescape(value)
+        index = match.end()
 
 
 def iter_tags(html: str) -> List[Tag]:

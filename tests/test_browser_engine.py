@@ -214,3 +214,34 @@ def test_snapshot_cookies():
     browser.visit(site, site.page_url("home"), STAGE_HOMEPAGE)
     browser.snapshot_cookies()
     assert browser.log.stored_cookies
+
+
+def test_stored_identifiers_stay_with_the_site_that_stored_them():
+    catalog = build_default_catalog()
+
+    def shop(domain):
+        return Website(domain=domain, auth=SiteAuthConfig(), embeds=[
+            TrackerEmbed(catalog.get("facebook.com"),
+                         LeakBehavior((CHANNEL_URI,), (("sha256",),)))])
+
+    population = Population(sites={"a.example": shop("a.example"),
+                                   "b.example": shop("b.example")},
+                            catalog=catalog)
+    site_a = population.sites["a.example"]
+    site_b = population.sites["b.example"]
+    browser = _browser(population)
+    _signup(browser, site_a)
+    token = hashes.apply_chain(EMAIL, ["sha256"])
+    assert list(browser.tracker_storage) == ["a.example"]
+    browser.visit(site_b, site_b.page_url("home"), "subpage")
+    browser.visit(site_b, site_b.page_url("product"), "subpage")
+    browser.visit(site_a, site_a.page_url("product"), "subpage")
+
+    def carries_token(entry):
+        return entry.stage == "subpage" and \
+            entry.request.url.query_get("udff[em]") == token
+
+    assert not [e for e in browser.log
+                if e.site == "b.example" and carries_token(e)]
+    assert [e for e in browser.log
+            if e.site == "a.example" and carries_token(e)]

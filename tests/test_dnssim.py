@@ -1,7 +1,10 @@
 """DNS resolver and CNAME cloaking detection."""
 
+import pickle
+
 import pytest
 
+from repro.crawler import StudyCrawler
 from repro.dnssim import (
     CnameCloakingDetector,
     DnsError,
@@ -9,6 +12,7 @@ from repro.dnssim import (
     ResourceRecord,
     Zone,
 )
+from repro.websim.generator import GeneratorConfig, generate_population
 
 
 def _zone():
@@ -70,6 +74,50 @@ def test_names_normalized():
     zone = Zone()
     zone.add_a("WWW.Shop.COM.", "203.0.113.9")
     assert Resolver(zone).resolve("www.shop.com").address == "203.0.113.9"
+
+
+def test_nxdomain_name_resolves_after_zone_add():
+    zone = _zone()
+    resolver = Resolver(zone)
+    assert not resolver.exists("late.shop.com")
+    with pytest.raises(DnsError):
+        resolver.resolve("late.shop.com")
+    zone.add_a("late.shop.com", "203.0.113.7")
+    assert resolver.exists("late.shop.com")
+    assert resolver.resolve("late.shop.com").address == "203.0.113.7"
+
+
+def test_cname_added_after_a_lookup_extends_the_chain():
+    zone = _zone()
+    resolver = Resolver(zone)
+    assert resolver.cname_chain("a.shop.com") == ("b.shop.com", "c.shop.com")
+    zone.add_cname("c.shop.com", "edge.cdn.net")
+    zone.add_a("edge.cdn.net", "203.0.113.8")
+    resolution = resolver.resolve("a.shop.com")
+    assert resolution.cname_chain == ("b.shop.com", "c.shop.com",
+                                      "edge.cdn.net")
+    assert resolution.address == "203.0.113.8"
+
+
+def test_memoised_resolutions_are_shared_and_frozen():
+    resolver = Resolver(_zone())
+    first = resolver.resolve("metrics.shop.com")
+    assert resolver.resolve("metrics.shop.com") is first
+    with pytest.raises(AttributeError):
+        first.address = "198.51.100.1"
+
+
+def test_pickled_session_carries_no_resolver_memo():
+    population = generate_population(seed=5, config=GeneratorConfig(
+        n_sites=4, n_trackers=3))
+    session = StudyCrawler(population).start()
+    session.step()
+    assert session.browser.resolver._memo
+    blob = pickle.dumps(session)
+    assert b"_memo" not in blob
+    restored = pickle.loads(blob)
+    assert restored.browser.resolver._memo == {}
+    assert restored.run().fingerprint() == session.run().fingerprint()
 
 
 # -- Cloaking detection -------------------------------------------------------

@@ -1,5 +1,7 @@
 """Headers, messages, forms and the capture log."""
 
+import pickle
+
 import pytest
 
 from repro.netsim import (
@@ -59,11 +61,54 @@ def test_headers_copy_is_independent():
     assert len(original) == 1
 
 
+def test_headers_get_returns_the_first_mixed_case_duplicate():
+    headers = Headers([("x-id", "a"), ("X-ID", "b")])
+    headers.add("X-Id", "c")
+    assert headers.get("X-iD") == "a"
+    assert headers.get_all("x-id") == ["a", "b", "c"]
+    headers.remove("X-ID")
+    headers.add("x-Id", "d")
+    headers.add("X-id", "e")
+    assert headers.get("x-id") == "d"
+
+
+def test_headers_pickle_round_trip():
+    headers = Headers([("Set-Cookie", "a=1"), ("set-cookie", "b=2"),
+                       ("Referer", "https://x.com/")])
+    restored = pickle.loads(pickle.dumps(headers))
+    assert restored == headers
+    assert restored.items() == headers.items()
+    assert repr(restored) == repr(headers) == (
+        "Headers([('Set-Cookie', 'a=1'), ('set-cookie', 'b=2'), "
+        "('Referer', 'https://x.com/')])")
+    restored.add("X", "1")
+    assert len(headers) == 3
+
+
+def test_headers_set_and_remove_on_empty_headers():
+    headers = Headers()
+    headers.remove("X")
+    assert len(headers) == 0 and headers.items() == []
+    headers.set("X", "1")
+    assert headers.items() == [("X", "1")]
+    empty = Headers()
+    empty.set("Y", "2")
+    assert empty.get("y") == "2" and Headers() == Headers([])
+
+
 # -- Messages ----------------------------------------------------------------
 
 def test_request_normalizes_method():
     request = HttpRequest(method="post", url=Url.parse("https://x.com/"))
     assert request.method == "POST"
+
+
+def test_request_keeps_an_upper_case_method_object():
+    method = "".join(["PO", "ST"])
+    request = HttpRequest(method=method, url=Url.parse("https://x.com/"))
+    assert request.method is method
+    assert HttpRequest(method="Get",
+                       url=Url.parse("https://x.com/")).method == "GET"
 
 
 def test_request_rejects_unknown_resource_type():

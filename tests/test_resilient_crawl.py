@@ -137,21 +137,32 @@ def test_checkpoint_rejects_garbage(tmp_path):
         CrawlSession.load(str(path))
 
 
-def test_checkpoint_refuses_a_version_2_header(tmp_path):
-    """Version-2 checkpoints pickle the old Counter/Gauge recorder state;
-    the header check refuses them before any unpickling is attempted."""
+def _assert_header_refused(tmp_path, version):
+    """A current checkpoint relabelled ``version`` is refused by the
+    header check before any unpickling is attempted."""
     from repro.crawler.checkpoint import CHECKPOINT_MAGIC
     path = tmp_path / "crawl.ckpt"
     StudyCrawler(_population()).start().save(str(path))
     blob = path.read_bytes()
-    assert blob.startswith(b"repro-crawl-checkpoint:3\n")
-    old = tmp_path / "v2.ckpt"
-    old.write_bytes(b"repro-crawl-checkpoint:2\n"
+    assert blob.startswith(b"repro-crawl-checkpoint:4\n")
+    old = tmp_path / ("v%d.ckpt" % version)
+    old.write_bytes(b"repro-crawl-checkpoint:%d\n" % version
                     + blob[len(CHECKPOINT_MAGIC):])
     with pytest.raises(CheckpointError,
-                       match="is not a version-3 crawl checkpoint "
+                       match="is not a version-4 crawl checkpoint "
                              r"\(bad or outdated header"):
         CrawlSession.load(str(old))
+
+
+def test_checkpoint_refuses_a_version_2_header(tmp_path):
+    """Version-2 checkpoints pickle the old Counter/Gauge recorder state."""
+    _assert_header_refused(tmp_path, 2)
+
+
+def test_checkpoint_refuses_a_version_3_header(tmp_path):
+    """Version-3 checkpoints pickle tracker storage keyed by (site,
+    service) pairs and list-backed ``Headers``."""
+    _assert_header_refused(tmp_path, 3)
 
 
 def test_checkpoint_save_is_atomic(tmp_path):

@@ -98,7 +98,84 @@ def test_form_method_defaults_to_get():
     assert page.forms[0].method == "GET"
 
 
-# -- differential check against the hand-written tokenizer --------------------
+# -- differential checks against hand-written references ----------------------
+
+def _reference_parse_attrs(text):
+    """Reference attribute parser: one character loop over the text."""
+    attrs = {}
+    index = 0
+    length = len(text)
+    while index < length:
+        while index < length and text[index] in " \t\r\n/":
+            index += 1
+        if index >= length:
+            break
+        start = index
+        while index < length and text[index] not in "= \t\r\n/":
+            index += 1
+        name = text[start:index].lower()
+        if not name:
+            break
+        while index < length and text[index] in " \t\r\n":
+            index += 1
+        value = ""
+        if index < length and text[index] == "=":
+            index += 1
+            while index < length and text[index] in " \t\r\n":
+                index += 1
+            if index < length and text[index] in "\"'":
+                quote = text[index]
+                index += 1
+                end = text.find(quote, index)
+                if end == -1:
+                    end = length
+                value = text[index:end]
+                index = end + 1
+            else:
+                start = index
+                while index < length and text[index] not in " \t\r\n>":
+                    index += 1
+                value = text[start:index]
+        attrs[name] = html_module._unescape(value)
+    return attrs
+
+
+_ATTR_FRAGMENTS = (" ", "\t", "\r", "\n", "\f", "/", "=", "==", '"', "'",
+                   '="', "='", ">", "&", "&amp;", "&quot;", "&lt;", "&gt;",
+                   "&amp;quot;", "src", "SRC", "data-x", "a", "B", "1",
+                   "<", "-")
+_attr_texts = st.one_of(
+    st.lists(st.sampled_from(_ATTR_FRAGMENTS), max_size=24).map("".join),
+    st.text(alphabet=" \t\r\n\f/=\"'>&;aBq1", max_size=30))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_attr_texts)
+def test_attribute_parser_matches_the_reference(text):
+    parsed = _parse_attrs(text)
+    expected = _reference_parse_attrs(text)
+    assert parsed == expected
+    assert list(parsed) == list(expected)
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    " / ",
+    '=x src="a"',                       # empty name ends the list
+    ' src="a b" alt=\'c"d\' w=1 h',     # both quotes, bare, valueless
+    ' src="never closed',                 # unterminated double quote
+    " src='never closed",                 # unterminated single quote
+    " src = \t\n'spaced' /x/ y=",          # whitespace around '='
+    " a=1 A=2 a",                         # a repeat keeps the first slot
+    ' href="/p?a=1&amp;b=&quot;x&quot;"',  # entities
+    " src=a>b c=d",                       # '>' ends a bare value
+    " x\f=1",                              # form feed is a name character
+])
+def test_attribute_parser_edge_cases_match_the_reference(text):
+    parsed = _parse_attrs(text)
+    assert parsed == _reference_parse_attrs(text)
+    assert list(parsed) == list(_reference_parse_attrs(text))
+
 
 def _reference_tags_with_closers(html):
     """Reference tokenizer: one ``find``-driven pass per ``<``."""
@@ -127,7 +204,8 @@ def _reference_tags_with_closers(html):
         while name_end < len(inner) and inner[name_end] not in " \t\r\n/>":
             name_end += 1
         name = inner[:name_end].lower()
-        tags.append(Tag(name=name, attrs=_parse_attrs(inner[name_end:])))
+        tags.append(Tag(name=name,
+                        attrs=_reference_parse_attrs(inner[name_end:])))
     return tags
 
 
