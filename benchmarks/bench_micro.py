@@ -90,19 +90,3 @@ def test_bench_wire_serialization(benchmark):
         body=b"udff%5Bem%5D=" + b"a" * 64)
     raw = serialize_request(request)
     benchmark(parse_request, raw)
-
-
-def test_bench_caching_resolver(benchmark, study_spec):
-    from repro.dnssim import CachingResolver
-    clock = [0.0]
-    resolver = CachingResolver(study_spec.population.resolver(),
-                               lambda: clock[0])
-    resolver.resolve("www.facebook.com")  # warm the cache
-
-    def lookup():
-        return resolver.resolve("www.facebook.com")
-
-    benchmark(lookup)
-    # The warm-up is the only miss, however often the benchmark calls.
-    assert resolver.stats.misses == 1
-    assert resolver.stats.hits >= 1

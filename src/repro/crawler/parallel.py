@@ -59,7 +59,6 @@ from ..netsim import CaptureLog
 from ..netsim.faults import FaultEvent, FaultPlan
 from ..obs import Recorder, merge_recorders
 from ..obs.progress import HeartbeatEvent
-from ..reporting.redact import redact_email
 from ..websim.population import Population
 from .chaos import ChaosPlan
 from .runner import CrawlDataset, CrawlSession, StudyCrawler, step_session
@@ -299,6 +298,7 @@ def merge_shard_datasets(results: Sequence[ShardResult],
                 dataset.profile_name != first.profile_name:
             # Redacted: this message ends up in logs/tracebacks, which
             # are exactly the unintended PII sinks the paper is about.
+            from ..reporting.redact import redact_email
             raise ValueError(
                 "shard %d was crawled as (%s, %s), not (%s, %s); refusing "
                 "to merge shards from different studies"

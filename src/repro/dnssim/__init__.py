@@ -1,6 +1,5 @@
 """DNS substrate: zones, resolver, CNAME cloaking detection."""
 
-from .cache import CacheStats, CachingResolver
 from .flaky import FlakyResolver
 from .cloaking import (
     DEFAULT_CLOAKING_ZONES,
@@ -18,8 +17,6 @@ from .resolver import (
 )
 
 __all__ = [
-    "CacheStats",
-    "CachingResolver",
     "DEFAULT_CLOAKING_ZONES",
     "CloakingVerdict",
     "CnameCloakingDetector",

@@ -1,6 +1,10 @@
 """Bootstrap statistics and tracker-graph analytics."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import LeakAnalysis, LeakEvent
 from repro.core.stats import (
@@ -10,6 +14,7 @@ from repro.core.stats import (
     sender_degree_sample,
 )
 from repro.tracking import (
+    ExposureSummary,
     build_leak_graph,
     coverage_curve,
     exposure_summary,
@@ -110,9 +115,9 @@ def test_graph_structure(small_analysis):
     graph = build_leak_graph(small_analysis)
     assert graph.number_of_nodes() == 6
     assert graph.number_of_edges() == 6
-    assert graph.nodes["s1.example"]["kind"] == "sender"
-    assert graph.nodes["big.example"]["kind"] == "receiver"
-    assert graph.edges["s1.example", "big.example"]["channels"] == ("uri",)
+    assert graph.roles("s1.example") == ("sender",)
+    assert graph.roles("big.example") == ("receiver",)
+    assert graph.channels("s1.example", "big.example") == ("uri",)
 
 
 def test_receiver_reach(small_analysis):
@@ -158,3 +163,147 @@ def test_coverage_curve_on_calibrated_crawl(analysis):
     # cover a majority-sized share of senders... measured, not assumed:
     top20 = dict(curve)[20]
     assert top20 > 25.0
+
+
+# The digest of every graph output on the calibrated crawl, computed with
+# the networkx implementation the plain-dict graph replaced.
+CALIBRATED_GRAPH_DIGEST = (
+    "378b31ea45698fbc61798b355deb9676af4ab129289d440e507778aa9342ec0c")
+
+
+def _graph_outputs(analysis, graph):
+    return (list(receiver_reach(graph).items()), coverage_curve(graph),
+            receiver_cooccurrence(graph, min_shared=2),
+            receiver_cooccurrence(graph, min_shared=10),
+            exposure_summary(analysis))
+
+
+def test_graph_outputs_match_the_pinned_digest(analysis):
+    outputs = _graph_outputs(analysis, build_leak_graph(analysis))
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert digest == CALIBRATED_GRAPH_DIGEST
+
+
+def test_a_domain_that_sends_and_receives_keeps_both_roles():
+    analysis = LeakAnalysis([_event("a.example", "b.example"),
+                             _event("c.example", "a.example")])
+    graph = build_leak_graph(analysis)
+    assert graph.roles("a.example") == ("sender", "receiver")
+    assert graph.number_of_nodes() == 3
+    assert graph.number_of_edges() == 2
+    # Only c.example feeds a.example; a.example's own receiver is not
+    # part of its reach.
+    assert receiver_reach(graph) == {"b.example": 1, "a.example": 1}
+    # Blocking b.example alone fully covers a.example, one of two senders.
+    assert coverage_curve(graph) == [(1, 50.0), (2, 100.0)]
+    summary = exposure_summary(analysis)
+    assert summary.flows_with_leakage == 2
+    assert summary.mean_receivers_per_flow == 1.0
+
+
+# -- differential check against the networkx implementation ------------------
+
+def _reference_build_leak_graph(nx, analysis):
+    """The networkx graph: nodes carry ``kind``, edges their channels."""
+    graph = nx.Graph()
+    for rel in analysis.relationships():
+        graph.add_node(rel.sender, kind="sender")
+        graph.add_node(rel.receiver, kind="receiver")
+        graph.add_edge(rel.sender, rel.receiver,
+                       channels=tuple(sorted(rel.channels)),
+                       encodings=tuple(sorted(rel.encodings)))
+    return graph
+
+
+def _reference_nodes(graph, kind):
+    return [node for node, data in graph.nodes(data=True)
+            if data["kind"] == kind]
+
+
+def _reference_receiver_reach(graph):
+    return {node: graph.degree(node)
+            for node in _reference_nodes(graph, "receiver")}
+
+
+def _reference_coverage_curve(graph):
+    senders = _reference_nodes(graph, "sender")
+    ranked = sorted(_reference_receiver_reach(graph).items(),
+                    key=lambda item: (-item[1], item[0]))
+    curve = []
+    blocked_receivers = set()
+    for k, (receiver, _) in enumerate(ranked, start=1):
+        blocked_receivers.add(receiver)
+        fully_covered = sum(
+            1 for sender in senders
+            if set(graph.neighbors(sender)) <= blocked_receivers)
+        curve.append((k, 100.0 * fully_covered / len(senders)))
+    return curve
+
+
+def _reference_receiver_cooccurrence(graph, min_shared):
+    receivers = _reference_nodes(graph, "receiver")
+    pairs = []
+    for index, first in enumerate(receivers):
+        first_senders = set(graph.neighbors(first))
+        for second in receivers[index + 1:]:
+            shared = len(first_senders & set(graph.neighbors(second)))
+            if shared >= min_shared:
+                ordered = tuple(sorted((first, second)))
+                pairs.append((ordered[0], ordered[1], shared))
+    pairs.sort(key=lambda item: (-item[2], item[0], item[1]))
+    return pairs
+
+
+def _reference_exposure_summary(nx, analysis):
+    graph = _reference_build_leak_graph(nx, analysis)
+    senders = _reference_nodes(graph, "sender")
+    if not senders:
+        return ExposureSummary(0, 0.0, 0, 0.0)
+    degrees = [graph.degree(sender) for sender in senders]
+    facebook = sum(1 for sender in senders
+                   if graph.has_edge(sender, "facebook.com"))
+    return ExposureSummary(
+        flows_with_leakage=len(senders),
+        mean_receivers_per_flow=sum(degrees) / len(degrees),
+        max_receivers_per_flow=max(degrees),
+        pct_flows_feeding_facebook=100.0 * facebook / len(senders))
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+# Senders and receivers come from disjoint name pools, so no domain
+# plays both roles (where the networkx graph kept only the last one).
+_edge_lists = st.lists(
+    st.tuples(st.sampled_from(["s%d.example" % i for i in range(6)]),
+              st.sampled_from(["r%d.example" % i for i in range(5)]
+                              + ["facebook.com"]),
+              st.sampled_from(["uri", "referer", "cookie", "payload"])),
+    max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists)
+def test_graph_matches_the_networkx_reference(nx, edges):
+    analysis = LeakAnalysis([_event(sender, receiver, channel=channel)
+                             for sender, receiver, channel in edges])
+    graph = build_leak_graph(analysis)
+    reference = _reference_build_leak_graph(nx, analysis)
+    assert graph.number_of_nodes() == reference.number_of_nodes()
+    assert graph.number_of_edges() == reference.number_of_edges()
+    for node, data in reference.nodes(data=True):
+        assert graph.roles(node) == (data["kind"],)
+    for sender, receiver, data in reference.edges(data=True):
+        if reference.nodes[sender]["kind"] != "sender":
+            sender, receiver = receiver, sender
+        assert graph.channels(sender, receiver) == data["channels"]
+    assert list(receiver_reach(graph).items()) == \
+        list(_reference_receiver_reach(reference).items())
+    assert coverage_curve(graph) == _reference_coverage_curve(reference)
+    for min_shared in (1, 2, 3):
+        assert receiver_cooccurrence(graph, min_shared) == \
+            _reference_receiver_cooccurrence(reference, min_shared)
+    assert exposure_summary(analysis) == \
+        _reference_exposure_summary(nx, analysis)

@@ -1,4 +1,4 @@
-"""HTTP wire format, caching resolver, heuristic detection."""
+"""HTTP wire format, heuristic detection."""
 
 import hashlib
 
@@ -9,8 +9,6 @@ from repro.core.heuristics import (
     looks_like_identifier,
     suspicious_parameter,
 )
-from repro.dnssim import DnsError, Resolver, Zone
-from repro.dnssim.cache import CachingResolver
 from repro.netsim import (
     CaptureEntry,
     CaptureLog,
@@ -86,111 +84,6 @@ def test_truncated_body_rejected():
            b"Content-Length: 100\r\n\r\nshort")
     with pytest.raises(WireFormatError):
         parse_request(raw)
-
-
-# -- caching resolver -----------------------------------------------------------
-
-class _Clock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-class _CountingResolver(Resolver):
-    def __init__(self, zone):
-        super().__init__(zone)
-        self.calls = 0
-
-    def resolve(self, name):
-        self.calls += 1
-        return super().resolve(name)
-
-
-@pytest.fixture()
-def cached_setup():
-    zone = Zone()
-    zone.add_a("www.shop.example")
-    zone.add_cname("metrics.shop.example", "shop.example.sc.omtrdc.net")
-    zone.add_a("shop.example.sc.omtrdc.net")
-    upstream = _CountingResolver(zone)
-    clock = _Clock()
-    return CachingResolver(upstream, clock, ttl=100,
-                           negative_ttl=10), upstream, clock
-
-
-def test_positive_caching(cached_setup):
-    resolver, upstream, clock = cached_setup
-    first = resolver.resolve("www.shop.example")
-    second = resolver.resolve("www.shop.example")
-    assert first == second
-    assert upstream.calls == 1
-    assert resolver.stats.hits == 1 and resolver.stats.misses == 1
-
-
-def test_expiry_refetches(cached_setup):
-    resolver, upstream, clock = cached_setup
-    resolver.resolve("www.shop.example")
-    clock.now = 101.0
-    resolver.resolve("www.shop.example")
-    assert upstream.calls == 2
-
-
-def test_negative_caching(cached_setup):
-    resolver, upstream, clock = cached_setup
-    with pytest.raises(DnsError):
-        resolver.resolve("missing.example")
-    with pytest.raises(DnsError):
-        resolver.resolve("missing.example")
-    assert upstream.calls == 1
-    assert resolver.stats.negative_hits == 1
-    clock.now = 11.0
-    with pytest.raises(DnsError):
-        resolver.resolve("missing.example")
-    assert upstream.calls == 2
-
-
-def test_resolver_interface_parity(cached_setup):
-    resolver, _, _ = cached_setup
-    assert resolver.exists("www.shop.example")
-    assert not resolver.exists("missing.example")
-    assert resolver.cname_chain("metrics.shop.example") == \
-        ("shop.example.sc.omtrdc.net",)
-
-
-def test_flush(cached_setup):
-    resolver, upstream, _ = cached_setup
-    resolver.resolve("www.shop.example")
-    resolver.flush()
-    resolver.resolve("www.shop.example")
-    assert upstream.calls == 2
-
-
-def test_ttl_validation(cached_setup):
-    _, upstream, clock = cached_setup
-    with pytest.raises(ValueError):
-        CachingResolver(upstream, clock, ttl=0)
-
-
-def test_caching_resolver_works_in_browser(study_spec):
-    from repro.browser import Browser, SimClock, vanilla_firefox
-    from repro.crawler import AuthFlowRunner
-    from repro.mailsim import Mailbox
-    population = study_spec.population
-    clock = SimClock()
-    cached = CachingResolver(population.resolver(), clock.now)
-    mailbox = Mailbox(population.persona.email)
-    server = population.build_server(
-        mail_hook=lambda s, e, u: mailbox.deliver_confirmation(s, u))
-    browser = Browser(profile=vanilla_firefox(), server=server,
-                      resolver=cached, catalog=population.catalog,
-                      clock=clock)
-    site = population.sites[study_spec.leaking_domains[3]]
-    runner = AuthFlowRunner(browser, population.persona, mailbox)
-    result = runner.run(site)
-    assert result.succeeded
-    assert cached.stats.hits > cached.stats.misses
 
 
 # -- heuristics -------------------------------------------------------------------
