@@ -9,9 +9,9 @@ the bugs.
 
 A :class:`ChaosPlan` is a picklable tuple of :class:`WorkerFault`
 directives.  The supervisor ships the plan to every worker it launches
-(together with the worker's attempt number for its shard); the worker
-installs it around its heartbeat stream and, when a fault's trigger
-``(shard, sites completed, attempt)`` matches, the fault fires:
+and the attempt number with every shard it hands out; the worker
+installs it around that attempt's heartbeat stream and, when a fault's
+trigger ``(shard, sites completed, attempt)`` matches, the fault fires:
 
 * ``kill`` — the process exits immediately via ``os._exit`` (no Python
   cleanup, no result), exactly like a segfault or OOM kill;

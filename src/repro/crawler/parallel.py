@@ -36,8 +36,8 @@ hash of the persona's email — is unaffected, because that identifier is
 recomputed identically on every site regardless of shard placement.
 
 Execution is *supervised* at every worker count (see
-:mod:`repro.crawler.supervisor`): with ``workers > 1`` each shard runs in
-its own watched worker process, at most ``workers`` at a time, with
+:mod:`repro.crawler.supervisor`): with ``workers > 1`` the shards run on
+at most ``workers`` long-lived, watched worker processes, with
 heartbeat-based liveness detection, bounded retry of lost shards,
 poison-shard quarantine, and graceful SIGINT/SIGTERM shutdown that
 leaves a resumable study manifest behind; ``workers=1`` runs the shards

@@ -2,7 +2,7 @@
 
 :class:`ShardSupervisor` is the one shard executor of
 :class:`~repro.crawler.ParallelCrawler`, at every worker count: it
-dispatches shards one process each with at most ``workers`` in flight,
+feeds shards to at most ``workers`` long-lived worker processes,
 watches worker liveness, and survives every process-level failure — a
 worker that segfaults, OOMs, hangs, or is killed never deadlocks the
 study or silently loses its shard.  ``workers=1`` is the in-process case
@@ -11,20 +11,36 @@ there is nothing to watch and a Python error propagates to the caller.
 
 Supervision model
 -----------------
-* **Per-shard dispatch, one pipe per worker.**  Each attempt of each
-  shard runs in a fresh ``multiprocessing.Process`` that owns a private
-  ``Pipe(duplex=False)``: its beats and then its terminal outcome travel
-  over it in order, so one torn/killed worker can never corrupt another
-  worker's channel.  The parent closes its copy of the write end right
-  after the launch, so a worker that dies mid-message leaves an
-  end-of-file on its pipe instead of a reader blocked forever.
+* **Long-lived workers, one shard at a time.**  A run forks at most
+  ``workers`` worker processes, each with the run's job list, and
+  feeds them shards one after another: only ``(job position,
+  attempt)`` travels over a worker's private parent→worker pipe, so a
+  job (and the population it may carry) is never pickled per shard.
+  Each worker owns a second private ``Pipe(duplex=False)`` for its
+  beats and terminal outcomes, in order, so one torn/killed worker can
+  never corrupt another worker's channel.  The parent closes its copy
+  of that write end right after the launch, so a worker that dies
+  mid-message leaves an end-of-file on its pipe instead of a reader
+  blocked forever.  A worker exits on a stop message or when the
+  parent's end of its command pipe closes.
+* **A job runs at most once per process.**  A shard attempt advances
+  its job's :class:`~repro.netsim.faults.FaultPlan` counters in the
+  process that runs it, so a worker that delivered an error outcome is
+  retired, never handed the retry: the retry runs in a process whose
+  copy of the job is untouched.  A worker that delivered a result has
+  finished that job for good and takes the next one.  Crashed, hung
+  and drained workers are reaped; the next dispatch forks their
+  replacement.  A worker that dies while idle charges no shard.
 * **Event-driven.**  The parent blocks in
-  ``multiprocessing.connection.wait`` on every worker pipe, every
-  process sentinel and a wakeup pipe that
+  ``multiprocessing.connection.wait`` on every busy worker's pipe,
+  every worker's process sentinel and a wakeup pipe that
   :meth:`~ShardSupervisor.request_shutdown` writes to, with the nearest
   watchdog or drain deadline as its timeout.  A fired sentinel drains
   its pipe to end-of-file, so a result sent just before the exit is
-  never mistaken for a crash.
+  never mistaken for a crash.  The cyclic GC is paused while a message
+  is received and unpickled: a shard result is a large graph of fresh
+  tracked objects, and collecting in the middle of building it only
+  walks the graph again.
 * **Liveness watchdog.**  Workers emit a start sentinel and then reuse
   the :mod:`repro.obs.progress` heartbeat stream (one
   :class:`~repro.obs.progress.HeartbeatEvent` per crawled site) as their
@@ -32,10 +48,11 @@ Supervision model
   *crashed*; a live process silent for longer than
   ``heartbeat_deadline`` wall seconds is *hung* and gets killed.  Both
   are declared lost and retried.
-* **Bounded retry, then quarantine.**  Lost shards are requeued on a
-  fresh process with an incremented attempt number.  Failures are
-  classified under the same transient-vs-permanent taxonomy the crawl
-  flows use (:data:`~repro.crawler.flows.FAILURE_TRANSIENT` /
+* **Bounded retry, then quarantine.**  Lost shards are requeued with
+  an incremented attempt number, for a process that has not run them.
+  Failures are classified under the same transient-vs-permanent
+  taxonomy the crawl flows use
+  (:data:`~repro.crawler.flows.FAILURE_TRANSIENT` /
   :data:`~repro.crawler.flows.FAILURE_PERMANENT`): crashes and hangs are
   transient and worth retrying; deterministic Python errors are
   permanent and quarantine the shard immediately.  A shard that stays
@@ -69,6 +86,8 @@ the exception to exactly those liveness reads.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import multiprocessing
 import os
@@ -77,7 +96,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from ..obs.progress import HeartbeatEvent
 from .chaos import ChaosMonkey, ChaosPlan
@@ -95,7 +115,7 @@ MANIFEST_SCHEMA_VERSION = 1
 EVENT_WORKER_CRASHED = "worker_crashed"   # process died without a result
 EVENT_WATCHDOG_TRIP = "watchdog_trip"     # no heartbeat within deadline
 EVENT_WORKER_ERROR = "worker_error"       # worker raised a Python error
-EVENT_RETRY = "retry"                     # shard requeued on a fresh worker
+EVENT_RETRY = "retry"                     # shard requeued for another worker
 EVENT_QUARANTINE = "quarantine"           # shard given up on
 EVENT_SHUTDOWN = "shutdown"               # graceful shutdown requested
 EVENT_DRAIN_KILL = "drain_kill"           # in-flight worker killed at drain
@@ -115,6 +135,58 @@ KILL_GRACE = 5.0
 #: copy of the write end, so a supervisor launching in another thread
 #: never forks a child that inherits (and keeps open) that write end.
 _LAUNCH_LOCK = threading.Lock()
+
+
+class _GcPause:
+    """Pauses the process's cyclic GC around the supervisor's receives.
+
+    The GC is process-wide and the service runs one supervisor per
+    runner thread, so pauses nest across threads: the first to enter
+    notes whether the GC was enabled and disables it, the last to leave
+    re-enables it if it was.  Two overlapping pauses can therefore never
+    leave the GC disabled, and a GC that was off stays off.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()   # statan: ignore[PKL303] -- process-wide GC state; object never pickled
+        self._depth = 0
+        self._resume = False        # re-enable when the last pause ends
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._resume:
+                gc.enable()
+
+    @contextlib.contextmanager
+    def forking(self) -> Iterator[None]:
+        """Hold the pause state steady across a fork, so the child's
+        copy of it is consistent (see :meth:`after_fork_in_child`)."""
+        with self._lock:
+            yield
+
+    def after_fork_in_child(self) -> None:
+        """In a freshly forked worker, drop the parent's pauses: the
+        child inherits a disabled GC while another supervisor thread is
+        receiving, and it must run with the GC state found before."""
+        # The parent held its copy of the lock across the fork.
+        self._lock = threading.Lock()   # statan: ignore[PKL303] -- process-wide GC state; object never pickled
+        with self._lock:
+            if self._depth:
+                self._depth = 0
+                if self._resume:
+                    gc.enable()
+
+
+#: The one pause state of this process.
+_GC_PAUSE = _GcPause()
 
 
 class SupervisorError(RuntimeError):
@@ -238,15 +310,15 @@ class _WorkerOutcome:
     error: str = ""
 
 
-def _supervised_worker_main(job, attempt: int, chaos: Optional[ChaosPlan],
-                            conn) -> None:
-    """Entry point of one supervised worker process.
+def _worker_main(jobs: Sequence[object], chaos: Optional[ChaosPlan],
+                 commands, parent_end, conn) -> None:
+    """Entry point of one long-lived supervised worker process.
 
-    Runs exactly one shard attempt: emits the start sentinel, streams
-    per-site heartbeats, and sends exactly one terminal
-    :class:`_WorkerOutcome` last on ``conn`` — unless a (real or
-    chaos-injected) crash or hang prevents it, which is precisely what
-    the parent's watchdog is for.
+    Takes ``(job position, attempt)`` commands from ``commands`` and runs
+    each attempt in turn, until a stop message (``None``) or end-of-file
+    arrives.  ``parent_end`` is the parent's write end of ``commands``,
+    inherited across the fork; the worker closes its copy so that the
+    parent's exit, however abrupt, reads as end-of-file here.
     """
     # The parent owns shutdown policy: workers ignore the terminal's
     # SIGINT broadcast (the parent drains them instead) and die promptly
@@ -256,6 +328,30 @@ def _supervised_worker_main(job, attempt: int, chaos: Optional[ChaosPlan],
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):        # non-main thread / exotic platform
         pass
+    _GC_PAUSE.after_fork_in_child()
+    parent_end.close()
+    while True:
+        try:
+            command = commands.recv()
+        except EOFError:
+            return
+        if command is None:
+            return
+        position, attempt = command
+        # The attempt's result is dropped when this call returns, before
+        # the next command is read.
+        _run_attempt(jobs[position], attempt, chaos, conn)
+
+
+def _run_attempt(job, attempt: int, chaos: Optional[ChaosPlan],
+                 conn) -> None:
+    """Run one shard attempt inside a worker.
+
+    Emits the start sentinel, streams per-site heartbeats, and sends
+    exactly one terminal :class:`_WorkerOutcome` last on ``conn`` —
+    unless a (real or chaos-injected) crash or hang prevents it, which
+    is precisely what the parent's watchdog is for.
+    """
     from .parallel import run_shard_job
     shard_index = job.shard.index
     monkey = ChaosMonkey(chaos.fault_for(shard_index, attempt)
@@ -397,21 +493,24 @@ def validate_manifest_layout(manifest: Dict[str, object],
 # The parent side.
 # ---------------------------------------------------------------------------
 
-class _WorkerHandle:
-    """Parent-side bookkeeping for one in-flight worker attempt.
+class _Worker:
+    """Parent-side bookkeeping for one long-lived worker process.
 
     Holds live process/pipe handles on purpose — this object never
     crosses a process boundary (the picklable currency is
-    :class:`_Beat` / :class:`_WorkerOutcome`).
+    :class:`_Beat` / :class:`_WorkerOutcome` one way and ``(job
+    position, attempt)`` the other).  ``job`` is the shard job in
+    flight, ``None`` while the worker is idle.
     """
 
-    def __init__(self, job, attempt: int, process, conn,
-                 launched_at: float) -> None:
-        self.job = job
-        self.attempt = attempt
+    def __init__(self, process, conn, commands) -> None:
         self.process = process           # statan: ignore[PKL303] -- parent-side handle; object never pickled
         self.conn = conn                 # statan: ignore[PKL303] -- parent-side handle; object never pickled
-        self.last_beat = launched_at
+        self.commands = commands         # statan: ignore[PKL303] -- parent-side handle; object never pickled
+        self.position = -1
+        self.job: Optional[object] = None
+        self.attempt = 0
+        self.last_beat = 0.0
 
     @property
     def shard(self) -> int:
@@ -421,8 +520,10 @@ class _WorkerHandle:
 class ShardSupervisor:
     """Drives shard jobs to completion under supervision.
 
-    ``workers`` caps the worker processes in flight; ``workers=1`` runs
-    every shard in the caller's process instead.  ``progress``
+    ``workers`` caps the worker processes: a run forks at most that
+    many long-lived workers (plus one replacement per lost one), which
+    take shards one after another; ``workers=1`` runs every shard in
+    the caller's process instead.  ``progress``
     (optional) receives every worker
     :class:`~repro.obs.progress.HeartbeatEvent` that carries crawl
     progress — the same sink contract as the engine's, so live progress
@@ -500,8 +601,9 @@ class ShardSupervisor:
                 validate_manifest_layout(manifest, layout,
                                          self.checkpoint_dir)
         outcome = SupervisionOutcome()
-        pending: List[Tuple[object, int]] = [(job, 0) for job in jobs]
-        inflight: Dict[int, _WorkerHandle] = {}
+        pending: List[Tuple[int, int]] = [
+            (position, 0) for position in range(len(jobs))]
+        pool: List[_Worker] = []
         restore: List[Tuple[int, object]] = []
         if threading.current_thread() is threading.main_thread():
             for signum in (signal.SIGINT, signal.SIGTERM):
@@ -511,15 +613,15 @@ class ShardSupervisor:
                 except (ValueError, OSError):
                     pass
         try:
-            self._loop(outcome, pending, inflight)
+            self._loop(outcome, jobs, pending, pool)
         finally:
             for signum, previous in restore:
                 try:
                     signal.signal(signum, previous)
                 except (ValueError, OSError, TypeError):
                     pass
-            for handle in list(inflight.values()):
-                self._retire(handle, inflight, kill=True)
+            for worker in list(pool):
+                self._retire(worker, pool, kill=worker.job is not None)
         if self.checkpoint_dir and layout is not None:
             write_manifest(self.checkpoint_dir, layout, outcome,
                            spec_description=self.spec_description)
@@ -538,31 +640,67 @@ class ShardSupervisor:
         if self.event_sink is not None:
             self.event_sink(event)
 
-    def _loop(self, outcome: SupervisionOutcome,
-              pending: List[Tuple[object, int]],
-              inflight: Dict[int, _WorkerHandle]) -> None:
+    def _loop(self, outcome: SupervisionOutcome, jobs: Sequence[object],
+              pending: List[Tuple[int, int]], pool: List[_Worker]) -> None:
         from .parallel import run_shard_job
-        while pending or inflight:
-            while pending and len(inflight) < self.workers and \
-                    not self.shutdown_requested:
-                job, attempt = pending.pop(0)
+        while pending or pool:
+            while pending and not self.shutdown_requested:
                 if self.workers == 1:
                     # In-process: the caller's own process crawls, so
                     # there is no liveness to watch and an error
                     # propagates instead of being retried.
+                    position, _ = pending.pop(0)
                     outcome.results.append(
-                        run_shard_job(job, emit=self.progress))
-                else:
-                    handle = self._launch(job, attempt)
-                    inflight[handle.shard] = handle
+                        run_shard_job(jobs[position], emit=self.progress))
+                    continue
+                worker = self._idle_worker(jobs, pool)
+                if worker is None:
+                    break
+                self._dispatch(worker, jobs, *pending.pop(0))
             if self.shutdown_requested:
-                self._drain(outcome, pending, inflight)
-            if inflight:
-                self._wait(outcome, pending, inflight)
+                self._drain(outcome, jobs, pending, pool)
+            if not pending:
+                # Nothing left to hand out: idle workers exit now, while
+                # the busy ones finish.  A retry forks a replacement.
+                for worker in pool[:]:
+                    if worker.job is None:
+                        self._retire(worker, pool)
+            # Every worker left is busy: none idles through a wait.
+            if pool:
+                self._wait(outcome, pending, pool)
 
-    def _drain(self, outcome: SupervisionOutcome,
-               pending: List[Tuple[object, int]],
-               inflight: Dict[int, _WorkerHandle]) -> None:
+    def _idle_worker(self, jobs: Sequence[object],
+                     pool: List[_Worker]) -> Optional[_Worker]:
+        """An idle live worker, a newly forked one if the pool has room,
+        or ``None`` when every worker is busy."""
+        for worker in pool[:]:
+            if worker.job is None:
+                if worker.process.exitcode is None:
+                    return worker
+                # Died between shards: no shard is charged for it.
+                self._retire(worker, pool)
+        if len(pool) < self.workers:
+            worker = self._spawn(jobs)
+            pool.append(worker)
+            return worker
+        return None
+
+    def _dispatch(self, worker: _Worker, jobs: Sequence[object],
+                  position: int, attempt: int) -> None:
+        worker.position = position
+        worker.job = jobs[position]
+        worker.attempt = attempt
+        worker.last_beat = self._now()
+        try:
+            worker.commands.send((position, attempt))
+        except OSError:
+            # The worker died just now; its sentinel reports it as the
+            # crash of this attempt.
+            pass
+
+    def _drain(self, outcome: SupervisionOutcome, jobs: Sequence[object],
+               pending: List[Tuple[int, int]],
+               pool: List[_Worker]) -> None:
         """Shutdown bookkeeping: pending shards will not run; in-flight
         shards drain until the timeout, then die (their checkpoints
         survive)."""
@@ -571,80 +709,87 @@ class ShardSupervisor:
             outcome.interrupted = True
             self._record(outcome, SupervisionEvent(
                 kind=EVENT_SHUTDOWN, detail=self._shutdown_reason or ""))
-        outcome.unfinished.extend(job.shard.index for job, _ in pending)
+        outcome.unfinished.extend(jobs[position].shard.index
+                                  for position, _ in pending)
         del pending[:]
         if self._now() - self._shutdown_at < self.config.drain_timeout:
             return
-        for handle in list(inflight.values()):
+        for worker in pool[:]:
+            if worker.job is None:
+                continue
             self._record(outcome, SupervisionEvent(
-                kind=EVENT_DRAIN_KILL, shard=handle.shard,
-                attempt=handle.attempt,
+                kind=EVENT_DRAIN_KILL, shard=worker.shard,
+                attempt=worker.attempt,
                 detail="drain timeout after %.1fs"
                        % self.config.drain_timeout))
-            self._retire(handle, inflight, kill=True)
-            outcome.unfinished.append(handle.shard)
+            self._retire(worker, pool, kill=True)
+            outcome.unfinished.append(worker.shard)
 
-    def _launch(self, job, attempt: int) -> _WorkerHandle:
+    def _spawn(self, jobs: Sequence[object]) -> _Worker:
+        """Fork one worker holding ``jobs``; it waits for commands."""
         with _LAUNCH_LOCK:
             reader, writer = multiprocessing.Pipe(duplex=False)
+            commands, command_writer = multiprocessing.Pipe(duplex=False)
             process = multiprocessing.Process(
-                target=_supervised_worker_main,
-                args=(job, attempt, self.chaos, writer), daemon=True,
-                name="repro-shard-%03d-attempt-%d"
-                     % (job.shard.index, attempt))
-            process.start()
-            # Only the worker may hold the write end: once it exits,
-            # for whatever reason, the reader sees end-of-file.
+                target=_worker_main,
+                args=(jobs, self.chaos, commands, command_writer, writer),
+                daemon=True, name="repro-shard-worker")
+            with _GC_PAUSE.forking():
+                process.start()
+            # Only the worker may hold the write end of its beats and
+            # the read end of its commands: once either side exits,
+            # for whatever reason, the other reads end-of-file.
             writer.close()
-        return _WorkerHandle(job=job, attempt=attempt, process=process,
-                             conn=reader, launched_at=self._now())
+            commands.close()
+        return _Worker(process=process, conn=reader,
+                       commands=command_writer)
 
     def _wait(self, outcome: SupervisionOutcome,
-              pending: List[Tuple[object, int]],
-              inflight: Dict[int, _WorkerHandle]) -> None:
+              pending: List[Tuple[int, int]], pool: List[_Worker]) -> None:
         """Block until a worker pipe or sentinel is ready, a shutdown is
         requested, or the nearest deadline passes; then act on it."""
-        deadline = min(handle.last_beat for handle in inflight.values()) \
+        deadline = min(worker.last_beat for worker in pool) \
             + self.config.heartbeat_deadline
         if self._shutdown_at is not None:
             deadline = min(deadline,
                            self._shutdown_at + self.config.drain_timeout)
-        waitables = [handle.conn for handle in inflight.values()]
-        waitables += [handle.process.sentinel
-                      for handle in inflight.values()]
+        waitables = [worker.conn for worker in pool]
+        waitables += [worker.process.sentinel for worker in pool]
         if not self.shutdown_requested:
             waitables.append(self._wakeup_reader)
         ready = set(wait(waitables, timeout=max(0.0,
                                                 deadline - self._now())))
-        for handle in list(inflight.values()):
-            exited = handle.process.sentinel in ready
-            if exited or handle.conn in ready:
-                self._receive(outcome, pending, inflight, handle, exited)
+        for worker in pool[:]:
+            exited = worker.process.sentinel in ready
+            if exited or worker.conn in ready:
+                self._receive(outcome, pending, pool, worker, exited)
         now = self._now()
-        for handle in list(inflight.values()):
-            silent = now - handle.last_beat
+        for worker in pool[:]:
+            if worker.job is None:
+                continue                    # delivered its result just now
+            silent = now - worker.last_beat
             if silent >= self.config.heartbeat_deadline:
-                self._retire(handle, inflight, kill=True)
+                self._retire(worker, pool, kill=True)
                 self._handle_failure(
-                    outcome, pending, handle, EVENT_WATCHDOG_TRIP,
+                    outcome, pending, worker, EVENT_WATCHDOG_TRIP,
                     detail="no heartbeat for %.1fs (deadline %.1fs); "
                            "worker killed"
                            % (silent, self.config.heartbeat_deadline))
 
     def _receive(self, outcome: SupervisionOutcome,
-                 pending: List[Tuple[object, int]],
-                 inflight: Dict[int, _WorkerHandle],
-                 handle: _WorkerHandle, exited: bool) -> None:
+                 pending: List[Tuple[int, int]], pool: List[_Worker],
+                 worker: _Worker, exited: bool) -> None:
         """Deliver a ready worker's beats; settle its shard once it has
         sent its outcome or is gone."""
         message: Optional[_WorkerOutcome] = None
         try:
-            while message is None and handle.conn.poll():
-                received = handle.conn.recv()
+            while message is None and worker.conn.poll():
+                with _GC_PAUSE:
+                    received = worker.conn.recv()
                 if isinstance(received, _WorkerOutcome):
-                    message = received      # always the last message
+                    message = received      # always the attempt's last
                     continue
-                handle.last_beat = self._now()
+                worker.last_beat = self._now()
                 if self.progress is not None and received.event is not None:
                     self.progress(received.event)
         except (EOFError, OSError):
@@ -652,32 +797,41 @@ class ShardSupervisor:
             exited = True
         if message is None and not exited:
             return
-        self._retire(handle, inflight)
+        if message is not None and message.result is not None:
+            worker.job = None               # idle: ready for the next shard
+            outcome.results.append(message.result)
+            return
+        # A crashed worker is reaped.  An errored one is retired too,
+        # never reused: its attempt has advanced the job's fault-plan
+        # counters in that process.
+        self._retire(worker, pool)
         if message is None:
-            exitcode = handle.process.exitcode
+            exitcode = worker.process.exitcode
             died_of = ("exit code %d" % exitcode if exitcode >= 0
                        else "signal %d" % -exitcode)
-            self._handle_failure(outcome, pending, handle,
+            self._handle_failure(outcome, pending, worker,
                                  EVENT_WORKER_CRASHED,
                                  detail="worker died (%s) without "
                                         "delivering a result" % died_of)
-        elif message.result is not None:
-            outcome.results.append(message.result)
         else:
             self._handle_failure(
-                outcome, pending, handle, EVENT_WORKER_ERROR,
+                outcome, pending, worker, EVENT_WORKER_ERROR,
                 error_type=message.error_type,
                 detail="%s: %s" % (message.error_type, message.error))
 
-    def _retire(self, handle: _WorkerHandle,
-                inflight: Dict[int, _WorkerHandle],
+    def _retire(self, worker: _Worker, pool: List[_Worker],
                 kill: bool = False) -> None:
-        """Reap a worker and close its pipe.  A worker that is to be
-        killed, or outlives :data:`KILL_GRACE` after its outcome, gets
-        SIGTERM, then SIGKILL after another grace."""
-        del inflight[handle.shard]
-        process = handle.process
+        """Reap a worker and close its pipes.  A worker that is not to
+        be killed gets the stop message; one that is to be killed, or
+        outlives :data:`KILL_GRACE` after the stop, gets SIGTERM, then
+        SIGKILL after another grace."""
+        pool.remove(worker)
+        process = worker.process
         if not kill:
+            try:
+                worker.commands.send(None)
+            except OSError:
+                pass                        # already gone
             process.join(KILL_GRACE)
         if process.exitcode is None:
             process.terminate()
@@ -685,11 +839,12 @@ class ShardSupervisor:
         if process.exitcode is None:
             process.kill()
             process.join()
-        handle.conn.close()
+        worker.conn.close()
+        worker.commands.close()
 
     def _handle_failure(self, outcome: SupervisionOutcome,
-                        pending: List[Tuple[object, int]],
-                        handle: _WorkerHandle, kind: str,
+                        pending: List[Tuple[int, int]],
+                        worker: _Worker, kind: str,
                         error_type: str = "", detail: str = "") -> None:
         """Classify a lost attempt: abort, retry, or quarantine."""
         if error_type == "CheckpointError":
@@ -698,27 +853,27 @@ class ShardSupervisor:
             raise CheckpointError(detail.split(": ", 1)[-1] or detail)
         failure_class = classify_worker_failure(kind, error_type)
         self._record(outcome, SupervisionEvent(
-            kind=kind, shard=handle.shard, attempt=handle.attempt,
+            kind=kind, shard=worker.shard, attempt=worker.attempt,
             failure_class=failure_class, detail=detail))
         retryable = (failure_class == FAILURE_TRANSIENT
-                     and handle.attempt < self.config.max_retries
+                     and worker.attempt < self.config.max_retries
                      and not self.shutdown_requested)
         if retryable:
             self._record(outcome, SupervisionEvent(
-                kind=EVENT_RETRY, shard=handle.shard,
-                attempt=handle.attempt + 1, failure_class=failure_class,
+                kind=EVENT_RETRY, shard=worker.shard,
+                attempt=worker.attempt + 1, failure_class=failure_class,
                 detail="retrying after %s" % kind))
-            pending.append((handle.job, handle.attempt + 1))
+            pending.append((worker.position, worker.attempt + 1))
             return
         if self.shutdown_requested and failure_class == FAILURE_TRANSIENT:
             # Do not quarantine a shard we merely refused to retry
             # because shutdown landed: it is unfinished, not poison.
-            outcome.unfinished.append(handle.shard)
+            outcome.unfinished.append(worker.shard)
             return
         terminal = SupervisionEvent(
-            kind=EVENT_QUARANTINE, shard=handle.shard,
-            attempt=handle.attempt, failure_class=failure_class,
+            kind=EVENT_QUARANTINE, shard=worker.shard,
+            attempt=worker.attempt, failure_class=failure_class,
             detail="quarantined after %d attempt(s): %s"
-                   % (handle.attempt + 1, detail))
+                   % (worker.attempt + 1, detail))
         self._record(outcome, terminal)
-        outcome.quarantined[handle.shard] = terminal
+        outcome.quarantined[worker.shard] = terminal

@@ -7,8 +7,11 @@ resumes to a merged fingerprint bit-identical to an undisturbed serial
 run.
 """
 
+import gc
 import json
+import multiprocessing
 import os
+import queue
 import signal
 import struct
 import subprocess
@@ -21,7 +24,7 @@ from multiprocessing.connection import Connection
 import pytest
 
 from repro.core import Study, StudyConfig
-from repro.crawler import parallel
+from repro.crawler import parallel, supervisor
 from repro.crawler import (
     CHAOS_KILL_EXIT_CODE,
     ChaosError,
@@ -45,7 +48,10 @@ from repro.crawler.supervisor import (
     EVENT_RETRY,
     EVENT_WATCHDOG_TRIP,
     EVENT_WORKER_CRASHED,
+    EVENT_WORKER_ERROR,
+    ShardSupervisor,
 )
+from repro.netsim.faults import FaultPlan
 from repro.obs import Recorder
 from repro.websim.generator import GeneratorConfig, generate_population
 
@@ -360,13 +366,10 @@ def test_request_shutdown_from_another_thread_wakes_a_silent_wait():
     assert EVENT_DRAIN_KILL in kinds
 
 
-def test_torn_result_frame_is_a_crash_not_a_hang(tmp_path, monkeypatch):
-    """A worker that dies midway through sending its result leaves a
-    truncated frame on its channel.  The supervisor must read that as a
-    crash and retry the shard, never block on the frame's missing
-    bytes; the crawl runs in a thread so a hang fails the test instead
-    of stalling it."""
-    serial = _serial_fingerprint()
+def _run_with_a_torn_result(tmp_path, monkeypatch):
+    """Run a crawl whose first attempt at one shard dies halfway through
+    sending its result; returns (result, shard).  The crawl runs in a
+    thread so a supervisor hang fails the test instead of stalling it."""
     shard = _target_shard(_supervised(2))
     marker = tmp_path / "torn"
     armed = []
@@ -400,7 +403,16 @@ def test_torn_result_frame_is_a_crash_not_a_hang(tmp_path, monkeypatch):
     crawl.start()
     crawl.join(timeout=60)
     assert not crawl.is_alive(), "supervisor hung on a torn result frame"
-    result = box["result"]
+    return box["result"], shard
+
+
+def test_torn_result_frame_is_a_crash_not_a_hang(tmp_path, monkeypatch):
+    """A worker that dies midway through sending its result leaves a
+    truncated frame on its channel.  The supervisor must read that as a
+    crash and retry the shard, never block on the frame's missing
+    bytes."""
+    serial = _serial_fingerprint()
+    result, shard = _run_with_a_torn_result(tmp_path, monkeypatch)
     assert result.complete
     assert result.dataset.fingerprint() == serial
     crash = next(event for event in result.supervision.events
@@ -559,3 +571,254 @@ def test_supervisor_config_validates():
         SupervisorConfig(max_retries=-1)
     with pytest.raises(ValueError):
         SupervisorConfig(heartbeat_deadline=0)
+
+
+# -- long-lived workers --------------------------------------------------
+
+_WIDE_CONFIG = GeneratorConfig(n_sites=24, n_trackers=6, leak_probability=0.6,
+                               confirmation_probability=0.4)
+
+
+def _wide_population():
+    return generate_population(seed=7, config=_WIDE_CONFIG)
+
+
+def _count_spawns(monkeypatch):
+    """Record the pid of every worker process the supervisor forks."""
+    spawned = []
+    real_spawn = ShardSupervisor._spawn
+
+    def spawn(self, jobs):
+        worker = real_spawn(self, jobs)
+        spawned.append(worker.process.pid)
+        return worker
+
+    monkeypatch.setattr(ShardSupervisor, "_spawn", spawn)
+    return spawned
+
+
+def test_transient_worker_error_retries_to_the_serial_fingerprint(
+        tmp_path, monkeypatch):
+    """A job's attempt advances its fault-plan counters in the process
+    that runs it, so a worker that reported an error must not run the
+    retry.  Shard 1's first attempt crawls to the end and then raises a
+    transient OSError; the retry must merge to the serial fingerprint.
+    A slowed shard 0 keeps the other worker busy meanwhile, so a
+    supervisor that reused the errored worker would hand it the retry."""
+    plan = FaultPlan(seed=3, transient_rate=0.2)
+    serial = ParallelCrawler(_wide_population(), workers=1, num_shards=4,
+                             fault_plan=plan).crawl().fingerprint()
+    marker = tmp_path / "raised"
+    real_run_shard_job = parallel.run_shard_job
+
+    def run_shard_job(job, emit=None):
+        result = real_run_shard_job(job, emit=emit)
+        if job.shard.index == 1 and not marker.exists():
+            marker.write_text("attempt 0")
+            raise OSError("injected after the crawl")
+        return result
+
+    monkeypatch.setattr(parallel, "run_shard_job", run_shard_job)
+    slow = ChaosPlan(faults=(WorkerFault(kind="slow", shard=0, after_sites=1,
+                                         delay=0.4),))
+    result = ParallelCrawler(_wide_population(), workers=2, num_shards=4,
+                             fault_plan=plan, chaos=slow).run()
+    kinds = [event.kind for event in result.supervision.events]
+    assert EVENT_WORKER_ERROR in kinds and EVENT_RETRY in kinds
+    assert result.complete
+    assert result.dataset.fingerprint() == serial
+
+
+def test_clean_run_forks_one_worker_per_slot(monkeypatch):
+    spawned = _count_spawns(monkeypatch)
+    result = ParallelCrawler(_wide_population(), workers=2,
+                             num_shards=8).run()
+    assert result.complete
+    assert not result.supervision.events
+    assert len(spawned) == 2
+
+
+def test_chaos_kill_forks_exactly_one_replacement(monkeypatch):
+    spawned = _count_spawns(monkeypatch)
+    chaos = ChaosPlan(faults=(WorkerFault(kind="kill", shard=2,
+                                          after_sites=1),))
+    result = ParallelCrawler(_wide_population(), workers=2, num_shards=8,
+                             chaos=chaos).run()
+    assert result.complete
+    assert [event.kind for event in result.supervision.events] == [
+        EVENT_WORKER_CRASHED, EVENT_RETRY]
+    assert len(spawned) == 3
+
+
+def test_worker_killed_while_idle_is_replaced_without_a_charge(monkeypatch):
+    """A worker that dies between shards costs its slot a fork, never a
+    shard an attempt: no crash, retry or quarantine is recorded."""
+    serial = ParallelCrawler(_wide_population(), workers=1,
+                             num_shards=8).crawl().fingerprint()
+    spawned = _count_spawns(monkeypatch)
+    killed = []
+    real_idle_worker = ShardSupervisor._idle_worker
+
+    def idle_worker(self, jobs, pool):
+        idle = [worker for worker in pool if worker.job is None]
+        if idle and not killed:
+            idle[0].process.kill()
+            idle[0].process.join(10)
+            killed.append(idle[0].process.pid)
+        return real_idle_worker(self, jobs, pool)
+
+    monkeypatch.setattr(ShardSupervisor, "_idle_worker", idle_worker)
+    result = ParallelCrawler(_wide_population(), workers=2,
+                             num_shards=8).run()
+    assert killed, "no worker was ever idle with shards still pending"
+    assert result.complete
+    assert not result.supervision.events
+    assert not result.supervision.quarantined
+    assert len(spawned) == 3
+    assert result.dataset.fingerprint() == serial
+
+
+def test_no_worker_outlives_a_clean_run():
+    result = ParallelCrawler(_wide_population(), workers=2,
+                             num_shards=8).run()
+    assert result.complete
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_a_drain():
+    """Shutdown once shard 1 has finished, while shard 0's worker hangs:
+    the hung worker is killed at the drain timeout and the idle one is
+    stopped."""
+    chaos = ChaosPlan(faults=(WorkerFault(kind="hang", shard=0, after_sites=0,
+                                          attempts=None),))
+    engine = ParallelCrawler(
+        _wide_population(), workers=2, num_shards=8, chaos=chaos,
+        supervision=SupervisorConfig(heartbeat_deadline=300.0,
+                                     drain_timeout=0.5))
+
+    def sink(event):
+        if event.shard == 1 and event.final:
+            engine.request_shutdown("test")
+
+    engine.progress = sink
+    result = engine.run()
+    assert result.supervision.interrupted
+    assert [r.index for r in result.supervision.results] == [1]
+    assert EVENT_DRAIN_KILL in [event.kind
+                                for event in result.supervision.events]
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_a_quarantine():
+    chaos = ChaosPlan(faults=(WorkerFault(kind="kill", shard=2, after_sites=1,
+                                          attempts=None),))
+    result = ParallelCrawler(_wide_population(), workers=2, num_shards=8,
+                             chaos=chaos,
+                             supervision=SupervisorConfig(max_retries=1)
+                             ).run()
+    assert 2 in result.supervision.quarantined
+    assert multiprocessing.active_children() == []
+
+
+# -- the receive-side GC pause -------------------------------------------
+
+
+@pytest.fixture
+def gc_state():
+    """Restore the GC's enabled state whatever a test leaves behind."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parallel_run_leaves_gc_as_it_found_it(gc_state, enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    result = _supervised(2).run()
+    assert result.complete
+    assert gc.isenabled() is enabled
+
+
+def test_torn_result_leaves_gc_enabled(gc_state, tmp_path, monkeypatch):
+    gc.enable()
+    result, _ = _run_with_a_torn_result(tmp_path, monkeypatch)
+    assert result.complete
+    assert gc.isenabled()
+
+
+class _Stepper:
+    """A thread that runs the calls it is handed, one at a time, and
+    returns only once each has finished."""
+
+    def __init__(self):
+        self._calls = queue.Queue()
+        self._done = queue.Queue()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            call = self._calls.get()
+            if call is None:
+                return
+            call()
+            self._done.put(True)
+
+    def do(self, call):
+        self._calls.put(call)
+        assert self._done.get(timeout=10)
+
+    def close(self):
+        self._calls.put(None)
+        self._thread.join(10)
+        assert not self._thread.is_alive()
+
+
+@pytest.mark.parametrize("a_resumes_first", [True, False])
+def test_overlapping_pauses_from_two_threads_leave_gc_enabled(
+        gc_state, a_resumes_first):
+    """Thread A pauses, thread B pauses, then they resume in either
+    order: the GC stays off until both have resumed, and is on after."""
+    gc.enable()
+    pause = supervisor._GC_PAUSE
+    a, b = _Stepper(), _Stepper()
+    try:
+        a.do(pause.__enter__)
+        b.do(pause.__enter__)
+        assert not gc.isenabled()
+        first, second = (a, b) if a_resumes_first else (b, a)
+        first.do(lambda: pause.__exit__(None, None, None))
+        assert not gc.isenabled()
+        second.do(lambda: pause.__exit__(None, None, None))
+        assert gc.isenabled()
+    finally:
+        a.close()
+        b.close()
+
+
+def test_worker_forked_during_a_pause_runs_with_gc_enabled(gc_state,
+                                                           tmp_path,
+                                                           monkeypatch):
+    """Another supervisor thread may be receiving (GC paused) when this
+    one forks: the worker must not inherit the pause."""
+    gc.enable()
+    real_run_shard_job = parallel.run_shard_job
+
+    def run_shard_job(job, emit=None):
+        (tmp_path / ("%d" % os.getpid())).write_text(str(gc.isenabled()))
+        return real_run_shard_job(job, emit=emit)
+
+    monkeypatch.setattr(parallel, "run_shard_job", run_shard_job)
+    with supervisor._GC_PAUSE:
+        result = _supervised(2).run()
+        assert not gc.isenabled()
+    assert gc.isenabled()
+    assert result.complete
+    reports = [path.read_text() for path in tmp_path.iterdir()]
+    assert reports and set(reports) == {"True"}
