@@ -70,6 +70,10 @@ _TAG_RESOURCE_TYPES = {
 
 _MAX_REDIRECTS = 5
 
+#: Absolute subresource URLs a browser keeps for reuse before it starts
+#: over (see :meth:`Browser._resource_url`).
+_RESOURCE_URL_MEMO = 256
+
 
 class SimClock:
     """Monotonic simulated clock; each network exchange advances it."""
@@ -148,6 +152,8 @@ class Browser:
         self.tracker_storage: Dict[str, Dict[str, Dict[str, str]]] = {}
         #: (script host, script path) -> the snippet's script URL.
         self._script_urls: Dict[Tuple[str, str], Url] = {}
+        #: absolute subresource reference -> its parsed URL.
+        self._resource_urls: Dict[str, Url] = {}
         self._captcha_ready: Dict[str, bool] = {}
         self._current_url: Optional[Url] = None
         #: PII exposed in the current page context (set by form submission).
@@ -239,7 +245,7 @@ class Browser:
             src = tag.get("src") or tag.get("href")
             if not src:
                 continue
-            resource_url = page_url.join(src)
+            resource_url = self._resource_url(page_url, src)
             response, _ = self._request(
                 site, "GET", resource_url, b"", None,
                 _TAG_RESOURCE_TYPES[kind],
@@ -257,6 +263,24 @@ class Browser:
                 if embed is not None:
                     self._run_snippet(site, embed, page_url, page_text,
                                       stage)
+
+    def _resource_url(self, page_url: Url, src: str) -> Url:
+        """``page_url.join(src)``, one shared ``Url`` per absolute ``src``.
+
+        Tracker scripts are referenced by the same absolute URL from
+        every page (7,504 requests for 20 URLs in the seed-404 crawl), so
+        the capture log holds, pickles and ships each one once.  A
+        ``Url`` is immutable, so sharing it is invisible; the memo starts
+        over when full to stay small in a long crawl.
+        """
+        if "://" not in src:
+            return page_url.join(src)
+        url = self._resource_urls.get(src)
+        if url is None:
+            if len(self._resource_urls) >= _RESOURCE_URL_MEMO:
+                self._resource_urls.clear()
+            url = self._resource_urls[src] = Url.parse(src)
+        return url
 
     def _answer_consent_banner(self, site: Website, page_url: Url,
                                page_text: str, stage: str) -> None:
@@ -448,7 +472,7 @@ class Browser:
                         origin=origin, kind="nxdomain", attempts=attempt)
                     return None
                 response = self.server.handle(request)
-                latency = getattr(response, "latency_seconds", None)
+                latency = response.latency_seconds
                 if policy is not None and latency is not None and \
                         latency > policy.request_timeout:
                     raise ConnectionTimeout(origin, kind=FAULT_SLOW,

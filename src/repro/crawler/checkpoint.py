@@ -28,7 +28,10 @@ import tempfile
 #: of the ``Counter``/``Gauge`` objects a version-2 pickle refers to.
 #: Version 4: the browser's tracker storage is keyed by site, then by
 #: service, and ``Headers`` keep their fields in one tuple.
-CHECKPOINT_MAGIC = b"repro-crawl-checkpoint:4\n"
+#: Version 5: ``Url``, ``HttpRequest``, ``HttpResponse`` and
+#: ``CaptureEntry`` are slotted and pickle as their field values, where a
+#: version-4 pickle holds each one's ``__dict__``.
+CHECKPOINT_MAGIC = b"repro-crawl-checkpoint:5\n"
 
 #: Payload length prefix: one big-endian u64 between magic and pickle.
 _LENGTH_STRUCT = struct.Struct(">Q")

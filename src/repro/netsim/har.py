@@ -10,7 +10,7 @@ evaluation) consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .cookies import Cookie
 from .messages import HttpRequest, HttpResponse
@@ -38,16 +38,38 @@ AUTH_STAGES = frozenset({STAGE_SIGNUP, STAGE_CONFIRM, STAGE_SIGNIN,
                          STAGE_RELOAD})
 
 
-@dataclass
+@dataclass(init=False)
 class CaptureEntry:
-    """One request/response exchange with its page context."""
+    """One request/response exchange with its page context.
+
+    Slotted and pickled as its field values, like the request and
+    response it holds: the capture log is the crawl's dataset, its shard
+    IPC payload and its checkpoint.
+    """
+
+    __slots__ = ("request", "response", "site", "stage", "page_url",
+                 "blocked_by")
 
     request: HttpRequest
     response: Optional[HttpResponse]
     site: str                      # registrable domain of the visited site
     stage: str                     # one of FLOW_STAGES
     page_url: str                  # document URL active when request fired
-    blocked_by: Optional[str] = None  # protection that suppressed it, if any
+    blocked_by: Optional[str]      # protection that suppressed it, if any
+
+    def __init__(self, request: HttpRequest,
+                 response: Optional[HttpResponse], site: str, stage: str,
+                 page_url: str, blocked_by: Optional[str] = None) -> None:
+        self.request = request
+        self.response = response
+        self.site = site
+        self.stage = stage
+        self.page_url = page_url
+        self.blocked_by = blocked_by
+
+    def __reduce__(self) -> Tuple[type, Tuple[object, ...]]:
+        return (CaptureEntry, (self.request, self.response, self.site,
+                               self.stage, self.page_url, self.blocked_by))
 
     @property
     def was_blocked(self) -> bool:

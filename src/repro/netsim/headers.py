@@ -12,7 +12,8 @@ class Headers:
     preserved for serialization, and repeated fields (``Set-Cookie``) are
     kept as separate entries.  The fields live in one tuple that every
     edit replaces, so a captured exchange holds no list per header block
-    and :meth:`copy` shares the fields instead of duplicating them.
+    and :meth:`copy` shares the fields instead of duplicating them.  A
+    pickle carries only that tuple.
     """
 
     __slots__ = ("_items",)
@@ -70,6 +71,9 @@ class Headers:
 
     def __len__(self) -> int:
         return len(self._items)
+
+    def __reduce__(self) -> Tuple[type, Tuple[object, ...]]:
+        return (Headers, (self._items,))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Headers):

@@ -9,7 +9,7 @@ applying ``$script``/``$image`` filter options).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .headers import Headers
@@ -35,24 +35,47 @@ RESOURCE_TYPES = (
 )
 
 
-@dataclass
+@dataclass(init=False)
 class HttpRequest:
-    """One outgoing HTTP request."""
+    """One outgoing HTTP request.
+
+    Slotted and pickled as its field values, like :class:`Url`: the
+    capture log holds one per exchange.
+    """
+
+    __slots__ = ("method", "url", "headers", "body", "resource_type",
+                 "initiator_chain", "timestamp")
 
     method: str
     url: Url
-    headers: Headers = field(default_factory=Headers)
-    body: bytes = b""
-    resource_type: str = RESOURCE_DOCUMENT
+    headers: Headers
+    body: bytes
+    resource_type: str
     #: URLs that caused this request, outermost first (document, script, ...).
-    initiator_chain: Tuple[Url, ...] = ()
-    timestamp: float = 0.0
+    initiator_chain: Tuple[Url, ...]
+    timestamp: float
 
-    def __post_init__(self) -> None:
-        if not self.method.isupper():
-            self.method = self.method.upper()
-        if self.resource_type not in RESOURCE_TYPES:
-            raise ValueError("unknown resource type: %r" % self.resource_type)
+    def __init__(self, method: str, url: Url,
+                 headers: Optional[Headers] = None, body: bytes = b"",
+                 resource_type: str = RESOURCE_DOCUMENT,
+                 initiator_chain: Tuple[Url, ...] = (),
+                 timestamp: float = 0.0) -> None:
+        if not method.isupper():
+            method = method.upper()
+        if resource_type not in RESOURCE_TYPES:
+            raise ValueError("unknown resource type: %r" % resource_type)
+        self.method = method
+        self.url = url
+        self.headers = Headers() if headers is None else headers
+        self.body = body
+        self.resource_type = resource_type
+        self.initiator_chain = initiator_chain
+        self.timestamp = timestamp
+
+    def __reduce__(self) -> Tuple[type, Tuple[object, ...]]:
+        return (HttpRequest, (self.method, self.url, self.headers, self.body,
+                              self.resource_type, self.initiator_chain,
+                              self.timestamp))
 
     @property
     def referer(self) -> Optional[str]:
@@ -67,13 +90,32 @@ class HttpRequest:
         return self.body.decode("utf-8", errors="replace")
 
 
-@dataclass
+@dataclass(init=False)
 class HttpResponse:
-    """One incoming HTTP response."""
+    """One incoming HTTP response.
 
-    status: int = 200
-    headers: Headers = field(default_factory=Headers)
-    body: bytes = b""
+    ``latency_seconds`` is how long a slow origin took to answer (set by
+    fault injection, else None).  It is a slot but not a dataclass
+    field, so ``repr`` and ``==`` do not see it; a pickle carries it.
+    """
+
+    __slots__ = ("status", "headers", "body", "latency_seconds")
+
+    status: int
+    headers: Headers
+    body: bytes
+
+    def __init__(self, status: int = 200, headers: Optional[Headers] = None,
+                 body: bytes = b"",
+                 latency_seconds: Optional[float] = None) -> None:
+        self.status = status
+        self.headers = Headers() if headers is None else headers
+        self.body = body
+        self.latency_seconds = latency_seconds
+
+    def __reduce__(self) -> Tuple[type, Tuple[object, ...]]:
+        return (HttpResponse, (self.status, self.headers, self.body,
+                               self.latency_seconds))
 
     @property
     def set_cookie_headers(self) -> List[str]:

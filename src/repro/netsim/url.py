@@ -82,24 +82,48 @@ def decode_query(query: str) -> List[Tuple[str, str]]:
     return pairs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Url:
-    """An absolute http(s) URL with ordered query parameters."""
+    """An absolute http(s) URL with ordered query parameters.
 
-    scheme: str = "https"
-    host: str = ""
-    path: str = "/"
-    query: Tuple[Tuple[str, str], ...] = ()
-    fragment: str = ""
-    port: Optional[int] = None
+    A crawl holds, pickles and ships one per captured request, so the
+    fields live in ``__slots__`` (no per-instance ``__dict__``) and a
+    pickle carries only the six field values.  The slots are spelled out
+    rather than ``dataclass(slots=True)``, which needs Python 3.10; a
+    slot cannot carry a class-level default, so the defaults live in
+    :meth:`__init__`.  The dataclass still generates ``__eq__``,
+    ``__hash__`` and ``__repr__``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.scheme not in ("http", "https"):
-            raise ValueError("unsupported scheme: %r" % self.scheme)
-        if not self.host:
+    __slots__ = ("scheme", "host", "path", "query", "fragment", "port")
+
+    scheme: str
+    host: str
+    path: str
+    query: Tuple[Tuple[str, str], ...]
+    fragment: str
+    port: Optional[int]
+
+    def __init__(self, scheme: str = "https", host: str = "",
+                 path: str = "/", query: Tuple[Tuple[str, str], ...] = (),
+                 fragment: str = "", port: Optional[int] = None) -> None:
+        if scheme not in ("http", "https"):
+            raise ValueError("unsupported scheme: %r" % scheme)
+        if not host:
             raise ValueError("URL requires a host")
-        if not self.path.startswith("/"):
-            object.__setattr__(self, "path", "/" + self.path)
+        if not path.startswith("/"):
+            path = "/" + path
+        setattr_ = object.__setattr__
+        setattr_(self, "scheme", scheme)
+        setattr_(self, "host", host)
+        setattr_(self, "path", path)
+        setattr_(self, "query", query)
+        setattr_(self, "fragment", fragment)
+        setattr_(self, "port", port)
+
+    def __reduce__(self) -> Tuple[type, Tuple[object, ...]]:
+        return (Url, (self.scheme, self.host, self.path, self.query,
+                      self.fragment, self.port))
 
     @classmethod
     def parse(cls, text: str) -> "Url":

@@ -1,0 +1,225 @@
+"""Capture records: slotted, compactly pickled, and unchanged to the dataset.
+
+``Url``, ``HttpRequest``, ``HttpResponse``, ``CaptureEntry`` and
+``Headers`` keep no ``__dict__`` and pickle as their field values.  The
+dataset must not see that: the golden ``repr`` strings below were
+captured from the earlier ``__dict__``-backed dataclasses.
+"""
+
+import dataclasses
+import pickle
+
+import pytest
+
+from repro.browser import Browser, RetryPolicy, vanilla_firefox
+from repro.crawler import StudyCrawler
+from repro.netsim import (
+    CaptureEntry,
+    Headers,
+    HttpRequest,
+    HttpResponse,
+    STAGE_HOMEPAGE,
+    Url,
+)
+from repro.netsim.faults import FAULT_SLOW, FaultPlan, NetworkError
+from repro.websim import Website, build_default_catalog, wrap_server
+from repro.websim.generator import GeneratorConfig, generate_population
+from repro.websim.population import Population
+from repro.websim.server import WebServer
+
+
+def _records():
+    url = Url.parse("https://Shop.Example:8443/a/b?x=1&y=%20z#frag")
+    page = Url(host="www.shop.example")
+    headers = Headers([("Referer", "https://www.shop.example/"),
+                       ("Cookie", "a=1")])
+    request = HttpRequest(method="post", url=url, headers=headers,
+                          body=b"email=a%40b",
+                          resource_type="xmlhttprequest",
+                          initiator_chain=(page,), timestamp=12.5)
+    response = HttpResponse(status=302,
+                            headers=Headers([("Location", "/next")]),
+                            body=b"ok")
+    entry = CaptureEntry(request=request, response=response,
+                         site="shop.example", stage="signup",
+                         page_url="https://www.shop.example/")
+    blocked = CaptureEntry(request=HttpRequest("GET", page), response=None,
+                           site="shop.example", stage="homepage",
+                           page_url="https://www.shop.example/",
+                           blocked_by="fault:timeout")
+    return {"url": url, "page": page, "headers": headers,
+            "request": request, "response": response, "entry": entry,
+            "blocked": blocked, "empty_response": HttpResponse()}
+
+
+_URL = ("Url(scheme='https', host='shop.example', path='/a/b', "
+        "query=(('x', '1'), ('y', ' z')), fragment='frag', port=8443)")
+_PAGE = ("Url(scheme='https', host='www.shop.example', path='/', query=(), "
+         "fragment='', port=None)")
+_HEADERS = ("Headers([('Referer', 'https://www.shop.example/'), "
+            "('Cookie', 'a=1')])")
+_REQUEST = ("HttpRequest(method='POST', url=%s, headers=%s, "
+            "body=b'email=a%%40b', resource_type='xmlhttprequest', "
+            "initiator_chain=(%s,), timestamp=12.5)"
+            % (_URL, _HEADERS, _PAGE))
+_RESPONSE = ("HttpResponse(status=302, headers=Headers([('Location', "
+             "'/next')]), body=b'ok')")
+
+GOLDEN_REPRS = {
+    "url": _URL,
+    "page": _PAGE,
+    "headers": _HEADERS,
+    "request": _REQUEST,
+    "response": _RESPONSE,
+    "entry": ("CaptureEntry(request=%s, response=%s, site='shop.example', "
+              "stage='signup', page_url='https://www.shop.example/', "
+              "blocked_by=None)" % (_REQUEST, _RESPONSE)),
+    "blocked": ("CaptureEntry(request=HttpRequest(method='GET', url=%s, "
+                "headers=Headers([]), body=b'', resource_type='document', "
+                "initiator_chain=(), timestamp=0.0), response=None, "
+                "site='shop.example', stage='homepage', "
+                "page_url='https://www.shop.example/', "
+                "blocked_by='fault:timeout')" % _PAGE),
+    "empty_response": "HttpResponse(status=200, headers=Headers([]), "
+                      "body=b'')",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPRS))
+def test_record_repr_matches_the_golden_string(name):
+    assert repr(_records()[name]) == GOLDEN_REPRS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPRS))
+def test_record_has_no_instance_dict(name):
+    record = _records()[name]
+    assert not hasattr(record, "__dict__")
+    with pytest.raises((AttributeError, dataclasses.FrozenInstanceError)):
+        record.not_a_field = 1
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPRS))
+def test_record_pickle_round_trip_is_equal(name):
+    record = _records()[name]
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(record, protocol=protocol))
+        assert clone == record
+        assert type(clone) is type(record)
+        assert repr(clone) == repr(record)
+
+
+def test_url_hashes_like_an_equal_value_and_stays_frozen():
+    url = _records()["url"]
+    twin = Url(scheme="https", host="shop.example", path="/a/b",
+               query=(("x", "1"), ("y", " z")), fragment="frag", port=8443)
+    assert url == twin and url is not twin
+    assert hash(url) == hash(twin)
+    assert len({url, twin, pickle.loads(pickle.dumps(url))}) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        url.host = "other.example"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del url.path
+
+
+def test_url_replace_keeps_the_checks():
+    url = _records()["url"]
+    moved = dataclasses.replace(url, host="cdn.example", path="img")
+    assert str(moved) == "https://cdn.example:8443/img?x=1&y=%20z#frag"
+    assert url.host == "shop.example"
+    with pytest.raises(ValueError, match="unsupported scheme"):
+        dataclasses.replace(url, scheme="ftp")
+    with pytest.raises(ValueError, match="requires a host"):
+        dataclasses.replace(url, host="")
+    assert [f.name for f in dataclasses.fields(Url)] == [
+        "scheme", "host", "path", "query", "fragment", "port"]
+
+
+def test_request_keeps_its_checks_and_default_headers():
+    url = _records()["page"]
+    assert HttpRequest("get", url).method == "GET"
+    with pytest.raises(ValueError, match="unknown resource type"):
+        HttpRequest("GET", url, resource_type="font")
+    first, second = HttpRequest("GET", url), HttpRequest("GET", url)
+    assert first.headers is not second.headers
+    first.headers.add("Cookie", "a=1")
+    assert len(second.headers) == 0
+    assert HttpRequest.__hash__ is None
+    assert HttpResponse.__hash__ is None
+    assert CaptureEntry.__hash__ is None
+
+
+def test_response_latency_is_not_a_field():
+    slow = HttpResponse(status=200, body=b"ok", latency_seconds=60.0)
+    assert slow == HttpResponse(status=200, body=b"ok")
+    assert repr(slow) == repr(HttpResponse(status=200, body=b"ok"))
+    assert "latency_seconds" not in {
+        f.name for f in dataclasses.fields(HttpResponse)}
+    assert HttpResponse().latency_seconds is None
+
+
+def _slow_response():
+    """A genuine FAULT_SLOW answer from the fault-injecting server."""
+    sites = {"shop.example": Website(domain="shop.example")}
+    server = wrap_server(WebServer(sites=sites,
+                                   catalog=build_default_catalog()),
+                         FaultPlan(seed=4, transient_rate=0.9,
+                                   max_consecutive=1000, slow_seconds=60.0))
+    request = HttpRequest("GET", Url.parse("https://www.shop.example/"))
+    for _ in range(300):
+        try:
+            response = server.handle(request)
+        except NetworkError:
+            continue
+        if response.latency_seconds is not None:
+            return response
+    raise AssertionError("the plan injected no slow response")
+
+
+class _ReplayServer:
+    """Answers every request with one fixed response."""
+
+    def __init__(self, response):
+        self.response = response
+
+    def handle(self, request):
+        return self.response
+
+
+def test_slow_response_keeps_its_latency_through_a_pickle_round_trip():
+    response = _slow_response()
+    clone = pickle.loads(pickle.dumps(response,
+                                      protocol=pickle.HIGHEST_PROTOCOL))
+    assert clone == response
+    assert clone.latency_seconds == 60.0
+
+    site = Website(domain="shop.example")
+    population = Population(sites={"shop.example": site},
+                            catalog=build_default_catalog())
+    browser = Browser(profile=vanilla_firefox(),
+                      server=_ReplayServer(clone),
+                      resolver=population.resolver(),
+                      catalog=population.catalog,
+                      retry_policy=RetryPolicy(max_attempts=1,
+                                               request_timeout=30.0))
+    result = browser.visit(site, site.page_url("home"), STAGE_HOMEPAGE)
+    assert not result.ok
+    assert browser.last_failure.kind == FAULT_SLOW
+    assert [entry.blocked_by for entry in browser.log] == [
+        "fault:%s" % FAULT_SLOW]
+
+
+#: Pickled bytes per capture entry of the 8-site crawl below.  The
+#: slotted records pickle to 307.6 bytes per entry; the ``__dict__``-backed
+#: dataclasses they replaced took 398.3.  The ceiling leaves 7% headroom.
+_PICKLED_BYTES_PER_ENTRY_CEILING = 330
+
+
+def test_capture_log_pickled_footprint():
+    population = generate_population(seed=5, config=GeneratorConfig(
+        n_sites=8, n_trackers=4, leak_probability=0.6,
+        confirmation_probability=0.4))
+    entries = StudyCrawler(population).start().run().log.entries
+    blob = pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
+    assert len(entries) > 300
+    assert len(blob) / len(entries) < _PICKLED_BYTES_PER_ENTRY_CEILING
+    assert pickle.loads(blob) == entries

@@ -160,7 +160,7 @@ def test_faulty_server_kinds_surface_correctly():
             transport_kinds.add(exc.kind)
             continue
         statuses.add(response.status)
-        latency = getattr(response, "latency_seconds", None)
+        latency = response.latency_seconds
         if latency is not None:
             latencies.append(latency)
     assert {429, 500, 503} <= statuses

@@ -144,12 +144,12 @@ def _assert_header_refused(tmp_path, version):
     path = tmp_path / "crawl.ckpt"
     StudyCrawler(_population()).start().save(str(path))
     blob = path.read_bytes()
-    assert blob.startswith(b"repro-crawl-checkpoint:4\n")
+    assert blob.startswith(b"repro-crawl-checkpoint:5\n")
     old = tmp_path / ("v%d.ckpt" % version)
     old.write_bytes(b"repro-crawl-checkpoint:%d\n" % version
                     + blob[len(CHECKPOINT_MAGIC):])
     with pytest.raises(CheckpointError,
-                       match="is not a version-4 crawl checkpoint "
+                       match="is not a version-5 crawl checkpoint "
                              r"\(bad or outdated header"):
         CrawlSession.load(str(old))
 
@@ -163,6 +163,13 @@ def test_checkpoint_refuses_a_version_3_header(tmp_path):
     """Version-3 checkpoints pickle tracker storage keyed by (site,
     service) pairs and list-backed ``Headers``."""
     _assert_header_refused(tmp_path, 3)
+
+
+def test_checkpoint_refuses_a_version_4_header(tmp_path):
+    """Version-4 checkpoints pickle each capture record (``Url``,
+    ``HttpRequest``, ``HttpResponse``, ``CaptureEntry``) with a
+    ``__dict__``; the records are slotted now."""
+    _assert_header_refused(tmp_path, 4)
 
 
 def test_checkpoint_save_is_atomic(tmp_path):
