@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..core.detector import LeakDetector
 from ..core.leakmodel import LeakEvent
 from ..netsim import CaptureEntry, CaptureLog, RESOURCE_SCRIPT
+from ..obs.runtime import gc_paused
 from ..psl import default_list
 from .lists import easylist_text, easyprivacy_text
 from .matcher import RequestContext, RuleSet
@@ -86,6 +87,7 @@ class BlocklistEvaluator:
 
     # -- Table 4 ------------------------------------------------------------
 
+    @gc_paused
     def evaluate(self, log: CaptureLog) -> Table4Report:
         """Compute the full Table 4 from a crawl capture."""
         # Pair each leak event with its capture entry.

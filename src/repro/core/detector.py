@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dnssim import CnameCloakingDetector, Resolver
 from ..obs import NULL_RECORDER, Recorder
+from ..obs.runtime import gc_paused
 from ..netsim import (
     CaptureEntry,
     CaptureLog,
@@ -104,6 +105,7 @@ class LeakDetector:
 
     # -- public API --------------------------------------------------------
 
+    @gc_paused
     def run(self, log: CaptureLog,
             include_blocked: bool = False) -> DetectionResult:
         """One pass over a capture log: events *and* leaking entries.

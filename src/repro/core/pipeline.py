@@ -32,6 +32,7 @@ from ..crawler.runner import step_session
 from ..mailsim import KIND_MARKETING
 from ..netsim.faults import FaultPlan
 from ..obs import NULL_RECORDER, Recorder
+from ..obs.runtime import gc_paused
 from ..policy import PolicyVerdict, classify_policies, policies_for_sites
 from ..policy import table3 as policy_table3
 from ..tracking import PersistenceAnalyzer, PersistenceReport
@@ -264,6 +265,7 @@ class Study:
         return self._assets
 
     @classmethod
+    @gc_paused
     def calibrated(cls, config: Optional[StudyConfig] = None) -> "Study":
         """A study over the paper-calibrated shopping population.
 
@@ -371,6 +373,7 @@ class Study:
 
     # -- the pipeline ----------------------------------------------------
 
+    @gc_paused
     def run(self) -> StudyResult:
         """Crawl, detect, and analyze; returns the combined result.
 
@@ -397,6 +400,7 @@ class Study:
                     incomplete_shards=outcome.incomplete_shards)
             return self.analyze(outcome.dataset)
 
+    @gc_paused
     def analyze(self, dataset: CrawlDataset) -> StudyResult:
         """Detect and analyze an existing (possibly partial) dataset.
 

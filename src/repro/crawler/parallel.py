@@ -59,6 +59,7 @@ from ..netsim import CaptureLog
 from ..netsim.faults import FaultEvent, FaultPlan
 from ..obs import Recorder, merge_recorders
 from ..obs.progress import HeartbeatEvent
+from ..obs.runtime import gc_paused
 from ..websim.population import Population
 from .chaos import ChaosPlan
 from .runner import CrawlDataset, CrawlSession, StudyCrawler, step_session
@@ -102,6 +103,7 @@ class PopulationSpec:
 class CalibratedPopulationSpec(PopulationSpec):
     """The paper-calibrated 404-site shopping population."""
 
+    @gc_paused
     def build(self) -> Population:
         from ..websim.shopping import build_study_population
         return build_study_population().population
@@ -121,6 +123,7 @@ class GeneratedPopulationSpec(PopulationSpec):
     seed: int = 0
     config: Optional[object] = None
 
+    @gc_paused
     def build(self) -> Population:
         from ..websim.generator import generate_population
         return generate_population(seed=self.seed, config=self.config)
@@ -140,6 +143,7 @@ class PrebuiltPopulationSpec(PopulationSpec):
 
     population: Population
 
+    @gc_paused
     def build(self) -> Population:
         return copy.deepcopy(self.population)
 
@@ -555,6 +559,7 @@ class ParallelCrawler:
                 incomplete_shards=result.incomplete_shards)
         return result.dataset
 
+    @gc_paused
     def run(self) -> ParallelCrawlResult:
         """Execute every shard under supervision and merge.
 

@@ -37,7 +37,7 @@ from ..netsim import CaptureLog
 from ..netsim.faults import FaultPlan
 from ..obs import NULL_RECORDER, Recorder
 from ..obs.progress import HeartbeatEvent, final_heartbeat, step_heartbeat
-from ..obs.runtime import ResourceSampler
+from ..obs.runtime import ResourceSampler, gc_paused
 from ..websim.population import Population
 from ..websim.site import Website
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -251,6 +251,7 @@ class CrawlSession:
         self._next_index += 1
         return result
 
+    @gc_paused
     def run(self) -> CrawlDataset:
         """Crawl everything still pending and finish."""
         while not self.done:
@@ -340,6 +341,7 @@ class CrawlSession:
         return session
 
 
+@gc_paused
 def step_session(session: CrawlSession, *, shard: int,
                  checkpoint: Optional[str] = None,
                  emit: Optional[Callable[[HeartbeatEvent], None]] = None,

@@ -37,10 +37,11 @@ Supervision model
   :meth:`~ShardSupervisor.request_shutdown` writes to, with the nearest
   watchdog or drain deadline as its timeout.  A fired sentinel drains
   its pipe to end-of-file, so a result sent just before the exit is
-  never mistaken for a crash.  The cyclic GC is paused while a message
-  is received and unpickled: a shard result is a large graph of fresh
-  tracked objects, and collecting in the middle of building it only
-  walks the graph again.
+  never mistaken for a crash.  The parent receives and unpickles shard
+  results under the cyclic-GC pause that
+  :meth:`~repro.crawler.ParallelCrawler.run` holds
+  (:data:`repro.obs.runtime.GC_PAUSE`); a forked worker drops that
+  pause and pauses its own crawl.
 * **Liveness watchdog.**  Workers emit a start sentinel and then reuse
   the :mod:`repro.obs.progress` heartbeat stream (one
   :class:`~repro.obs.progress.HeartbeatEvent` per crawled site) as their
@@ -86,8 +87,6 @@ the exception to exactly those liveness reads.
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import json
 import multiprocessing
 import os
@@ -96,10 +95,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.progress import HeartbeatEvent
+from ..obs.runtime import GC_PAUSE
 from .chaos import ChaosMonkey, ChaosPlan
 from .checkpoint import CheckpointError, atomic_write_text
 from .flows import FAILURE_PERMANENT, FAILURE_TRANSIENT
@@ -135,58 +134,6 @@ KILL_GRACE = 5.0
 #: copy of the write end, so a supervisor launching in another thread
 #: never forks a child that inherits (and keeps open) that write end.
 _LAUNCH_LOCK = threading.Lock()
-
-
-class _GcPause:
-    """Pauses the process's cyclic GC around the supervisor's receives.
-
-    The GC is process-wide and the service runs one supervisor per
-    runner thread, so pauses nest across threads: the first to enter
-    notes whether the GC was enabled and disables it, the last to leave
-    re-enables it if it was.  Two overlapping pauses can therefore never
-    leave the GC disabled, and a GC that was off stays off.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()   # statan: ignore[PKL303] -- process-wide GC state; object never pickled
-        self._depth = 0
-        self._resume = False        # re-enable when the last pause ends
-
-    def __enter__(self) -> None:
-        with self._lock:
-            if self._depth == 0:
-                self._resume = gc.isenabled()
-                gc.disable()
-            self._depth += 1
-
-    def __exit__(self, *exc_info: object) -> None:
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and self._resume:
-                gc.enable()
-
-    @contextlib.contextmanager
-    def forking(self) -> Iterator[None]:
-        """Hold the pause state steady across a fork, so the child's
-        copy of it is consistent (see :meth:`after_fork_in_child`)."""
-        with self._lock:
-            yield
-
-    def after_fork_in_child(self) -> None:
-        """In a freshly forked worker, drop the parent's pauses: the
-        child inherits a disabled GC while another supervisor thread is
-        receiving, and it must run with the GC state found before."""
-        # The parent held its copy of the lock across the fork.
-        self._lock = threading.Lock()   # statan: ignore[PKL303] -- process-wide GC state; object never pickled
-        with self._lock:
-            if self._depth:
-                self._depth = 0
-                if self._resume:
-                    gc.enable()
-
-
-#: The one pause state of this process.
-_GC_PAUSE = _GcPause()
 
 
 class SupervisorError(RuntimeError):
@@ -328,7 +275,7 @@ def _worker_main(jobs: Sequence[object], chaos: Optional[ChaosPlan],
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):        # non-main thread / exotic platform
         pass
-    _GC_PAUSE.after_fork_in_child()
+    GC_PAUSE.after_fork_in_child()
     parent_end.close()
     while True:
         try:
@@ -734,7 +681,7 @@ class ShardSupervisor:
                 target=_worker_main,
                 args=(jobs, self.chaos, commands, command_writer, writer),
                 daemon=True, name="repro-shard-worker")
-            with _GC_PAUSE.forking():
+            with GC_PAUSE.forking():
                 process.start()
             # Only the worker may hold the write end of its beats and
             # the read end of its commands: once either side exits,
@@ -784,8 +731,7 @@ class ShardSupervisor:
         message: Optional[_WorkerOutcome] = None
         try:
             while message is None and worker.conn.poll():
-                with _GC_PAUSE:
-                    received = worker.conn.recv()
+                received = worker.conn.recv()
                 if isinstance(received, _WorkerOutcome):
                     message = received      # always the attempt's last
                     continue

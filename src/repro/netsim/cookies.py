@@ -18,6 +18,10 @@ from .url import Url
 #: A stored cookie's identity: (partition, domain, path, name).
 _Key = Tuple[str, str, str, str]
 
+#: Distinct ``Cookie`` header values a jar keeps for reuse before it
+#: starts over (see :meth:`CookieJar.cookie_header`).
+_HEADER_MEMO = 1024
+
 
 @dataclass
 class Cookie:
@@ -112,7 +116,7 @@ class CookieJar:
     of every stored cookie.  Each key also carries its first-insert
     sequence number, which breaks RFC 6265 order ties exactly as the
     insertion order of ``_cookies`` does.  Only ``_cookies`` is pickled;
-    the index is rebuilt on load.
+    the index is rebuilt on load and the header memo starts empty.
     """
 
     def __init__(self) -> None:
@@ -123,6 +127,8 @@ class CookieJar:
         # (partition, domain) -> {cookie key: first-insert sequence}
         self._index: Dict[Tuple[str, str], Dict[_Key, int]] = {}
         self._sequence = 0
+        # rendered Cookie header value -> its one shared string
+        self._headers: Dict[str, str] = {}
         for key in self._cookies:
             self._add_to_index(key)
 
@@ -187,9 +193,21 @@ class CookieJar:
 
     def cookie_header(self, url: Url, now: float = 0.0,
                       partition: str = "") -> str:
-        """Render the ``Cookie`` request header value ('' if no cookies)."""
-        return "; ".join("%s=%s" % (c.name, c.value)
-                         for c in self.cookies_for(url, now, partition))
+        """Render the ``Cookie`` request header value ('' if no cookies).
+
+        Equal values come back as one shared string: a crawl sends the
+        same few cookies on thousands of requests, so the capture log
+        holds, pickles and ships each value once.  The memo starts over
+        when full to stay small in a long crawl.
+        """
+        value = "; ".join("%s=%s" % (c.name, c.value)
+                          for c in self.cookies_for(url, now, partition))
+        shared = self._headers.get(value)
+        if shared is None:
+            if len(self._headers) >= _HEADER_MEMO:
+                self._headers.clear()
+            shared = self._headers[value] = value
+        return shared
 
     def all_cookies(self) -> List[Cookie]:
         """Every stored cookie (for instrumentation snapshots)."""

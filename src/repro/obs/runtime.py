@@ -9,7 +9,8 @@ on every request and job transition (queue depth, jobs by state,
 submit/run latency, SSE subscribers, bytes served), plus per-shard
 *resource accounting* (:class:`ResourceSampler` over
 ``resource.getrusage`` + GC stats) that rides the existing heartbeat
-channel.
+channel, and the process-wide pause of the cyclic GC (:data:`GC_PAUSE`)
+that a study's entry points hold while they build its long-lived data.
 
 The contract that keeps the two domains apart:
 
@@ -33,10 +34,13 @@ docs/OBSERVABILITY.md).
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import gc
 import threading
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple, TypeVar, cast)
 
 from .metrics import MetricSet
 
@@ -189,6 +193,81 @@ def aggregate_resources(samples: Iterable[Mapping[str, float]]
 
 
 # ---------------------------------------------------------------------------
+# The study-wide pause of the cyclic GC.
+# ---------------------------------------------------------------------------
+
+class _GcPause:
+    """Pauses the process's cyclic GC while a study builds its data.
+
+    The GC is process-wide and the service runs one study per runner
+    thread, so pauses nest across threads: the first to enter notes
+    whether the GC was enabled and disables it, the last to leave
+    re-enables it if it was.  Two overlapping pauses can therefore never
+    leave the GC disabled, and a GC that was off stays off.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()   # statan: ignore[PKL303] -- process-wide GC state; object never pickled
+        self._depth = 0
+        self._resume = False        # re-enable when the last pause ends
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._resume:
+                gc.enable()
+
+    @contextlib.contextmanager
+    def forking(self) -> Iterator[None]:
+        """Hold the pause state steady across a fork, so the child's
+        copy of it is consistent (see :meth:`after_fork_in_child`)."""
+        with self._lock:
+            yield
+
+    def after_fork_in_child(self) -> None:
+        """In a freshly forked worker, drop the parent's pauses: the
+        child inherits a disabled GC while the parent (or another of its
+        threads) holds a pause, and it must run with the GC state found
+        before."""
+        # The parent held its copy of the lock across the fork.
+        self._lock = threading.Lock()   # statan: ignore[PKL303] -- process-wide GC state; object never pickled
+        with self._lock:
+            if self._depth:
+                self._depth = 0
+                if self._resume:
+                    gc.enable()
+
+
+#: The one pause state of this process.
+GC_PAUSE = _GcPause()
+
+_F = TypeVar("_F", bound=Callable[..., object])
+
+
+def gc_paused(func: _F) -> _F:
+    """Run every call of ``func`` under :data:`GC_PAUSE`.
+
+    For the entry points that build a study's long-lived data: the
+    population, the capture log, the leak events and the reports.  None
+    of it holds a reference cycle, so a collection during the build only
+    walks the growing heap again and frees nothing.  The pause ends
+    when ``func`` returns or raises.
+    """
+    @functools.wraps(func)
+    def paused(*args: object, **kwargs: object) -> object:
+        with GC_PAUSE:
+            return func(*args, **kwargs)
+    return cast(_F, paused)
+
+
+# ---------------------------------------------------------------------------
 # The one-line ops ticker (repro-study metrics --live).
 # ---------------------------------------------------------------------------
 
@@ -230,10 +309,12 @@ def _human_bytes(count: float) -> str:
 
 
 __all__ = [
+    "GC_PAUSE",
     "LATENCY_BUCKETS",
     "ResourceSampler",
     "RuntimeMetrics",
     "aggregate_resources",
+    "gc_paused",
     "render_ticker",
     "sample_resources",
     "wall_now",

@@ -7,6 +7,8 @@ integration test.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core import CandidateTokenSet, LeakAnalysis, LeakDetector
@@ -47,3 +49,14 @@ def events(crawl, detector):
 @pytest.fixture(scope="session")
 def analysis(events):
     return LeakAnalysis(events)
+
+
+@pytest.fixture
+def gc_state():
+    """Restore the GC's enabled state whatever a test leaves behind."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()

@@ -214,12 +214,27 @@ def test_slow_response_keeps_its_latency_through_a_pickle_round_trip():
 _PICKLED_BYTES_PER_ENTRY_CEILING = 330
 
 
-def test_capture_log_pickled_footprint():
+def _crawl_entries():
     population = generate_population(seed=5, config=GeneratorConfig(
         n_sites=8, n_trackers=4, leak_probability=0.6,
         confirmation_probability=0.4))
-    entries = StudyCrawler(population).start().run().log.entries
+    return StudyCrawler(population).start().run().log.entries
+
+
+def test_capture_log_pickled_footprint():
+    entries = _crawl_entries()
     blob = pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
     assert len(entries) > 300
     assert len(blob) / len(entries) < _PICKLED_BYTES_PER_ENTRY_CEILING
     assert pickle.loads(blob) == entries
+
+
+def test_equal_cookie_headers_from_one_crawl_are_one_object():
+    shared = {}
+    sent = 0
+    for entry in _crawl_entries():
+        value = entry.request.headers.get("Cookie")
+        if value:
+            sent += 1
+            assert shared.setdefault(value, value) is value
+    assert sent > len(shared) > 1

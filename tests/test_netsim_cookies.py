@@ -7,7 +7,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim import Cookie, CookieJar, Url, parse_set_cookie
+from repro.netsim import Cookie, CookieJar, Url, cookies, parse_set_cookie
 
 
 def _url(text="https://www.shop.com/account"):
@@ -112,6 +112,20 @@ def test_expires_attribute_treated_as_persistent():
     cookie = parse_set_cookie(
         "id=1; Expires=Wed, 21 Oct 2026 07:28:00 GMT", _url(), now=0.0)
     assert cookie.expires is not None and cookie.expires > 0
+
+
+def test_cookie_header_memo_starts_over_when_full():
+    jar = CookieJar()
+    url = _url()
+    rounds = cookies._HEADER_MEMO + 5
+    headers = []
+    for index in range(rounds):
+        jar.set_cookie(Cookie(name="n", value=str(index),
+                              domain="www.shop.com"))
+        headers.append(jar.cookie_header(url))
+    assert headers == ["n=%d" % index for index in range(rounds)]
+    assert len(jar._headers) <= cookies._HEADER_MEMO
+    assert jar.cookie_header(url) is headers[-1]
 
 
 def test_clear():

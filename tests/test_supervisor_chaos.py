@@ -11,7 +11,6 @@ import gc
 import json
 import multiprocessing
 import os
-import queue
 import signal
 import struct
 import subprocess
@@ -24,7 +23,7 @@ from multiprocessing.connection import Connection
 import pytest
 
 from repro.core import Study, StudyConfig
-from repro.crawler import parallel, supervisor
+from repro.crawler import parallel
 from repro.crawler import (
     CHAOS_KILL_EXIT_CODE,
     ChaosError,
@@ -720,18 +719,7 @@ def test_no_worker_outlives_a_quarantine():
     assert multiprocessing.active_children() == []
 
 
-# -- the receive-side GC pause -------------------------------------------
-
-
-@pytest.fixture
-def gc_state():
-    """Restore the GC's enabled state whatever a test leaves behind."""
-    enabled = gc.isenabled()
-    yield
-    if enabled:
-        gc.enable()
-    else:
-        gc.disable()
+# -- the GC pause held across a parallel run -----------------------------
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -750,75 +738,3 @@ def test_torn_result_leaves_gc_enabled(gc_state, tmp_path, monkeypatch):
     result, _ = _run_with_a_torn_result(tmp_path, monkeypatch)
     assert result.complete
     assert gc.isenabled()
-
-
-class _Stepper:
-    """A thread that runs the calls it is handed, one at a time, and
-    returns only once each has finished."""
-
-    def __init__(self):
-        self._calls = queue.Queue()
-        self._done = queue.Queue()
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        while True:
-            call = self._calls.get()
-            if call is None:
-                return
-            call()
-            self._done.put(True)
-
-    def do(self, call):
-        self._calls.put(call)
-        assert self._done.get(timeout=10)
-
-    def close(self):
-        self._calls.put(None)
-        self._thread.join(10)
-        assert not self._thread.is_alive()
-
-
-@pytest.mark.parametrize("a_resumes_first", [True, False])
-def test_overlapping_pauses_from_two_threads_leave_gc_enabled(
-        gc_state, a_resumes_first):
-    """Thread A pauses, thread B pauses, then they resume in either
-    order: the GC stays off until both have resumed, and is on after."""
-    gc.enable()
-    pause = supervisor._GC_PAUSE
-    a, b = _Stepper(), _Stepper()
-    try:
-        a.do(pause.__enter__)
-        b.do(pause.__enter__)
-        assert not gc.isenabled()
-        first, second = (a, b) if a_resumes_first else (b, a)
-        first.do(lambda: pause.__exit__(None, None, None))
-        assert not gc.isenabled()
-        second.do(lambda: pause.__exit__(None, None, None))
-        assert gc.isenabled()
-    finally:
-        a.close()
-        b.close()
-
-
-def test_worker_forked_during_a_pause_runs_with_gc_enabled(gc_state,
-                                                           tmp_path,
-                                                           monkeypatch):
-    """Another supervisor thread may be receiving (GC paused) when this
-    one forks: the worker must not inherit the pause."""
-    gc.enable()
-    real_run_shard_job = parallel.run_shard_job
-
-    def run_shard_job(job, emit=None):
-        (tmp_path / ("%d" % os.getpid())).write_text(str(gc.isenabled()))
-        return real_run_shard_job(job, emit=emit)
-
-    monkeypatch.setattr(parallel, "run_shard_job", run_shard_job)
-    with supervisor._GC_PAUSE:
-        result = _supervised(2).run()
-        assert not gc.isenabled()
-    assert gc.isenabled()
-    assert result.complete
-    reports = [path.read_text() for path in tmp_path.iterdir()]
-    assert reports and set(reports) == {"True"}
