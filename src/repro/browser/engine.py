@@ -13,7 +13,7 @@ a :class:`~repro.netsim.CaptureLog` — the raw dataset all analyses consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dnssim import Resolver
 from ..netsim import (
@@ -212,6 +212,35 @@ class Browser:
     def snapshot_cookies(self) -> None:
         """Copy the cookie store into the capture log (end of flow)."""
         self.log.snapshot_cookies(self.jar.all_cookies())
+
+    # -- checkpoint journal ----------------------------------------------
+
+    def journal_state(self, domains: Sequence[str]) -> Tuple[object, ...]:
+        """This browser's mutable state for a checkpoint record.
+
+        State shared across sites (clock, breakers, the current page)
+        comes whole; state kept per crawled site (tracker storage,
+        consent decisions, captcha readiness) only for ``domains``, the
+        sites crawled since the previous record.  The capture log and
+        the cookie jar are journaled as changes of their own.  The URL
+        memos are left out: a resumed browser starts them empty, which
+        changes which ``Url`` objects are shared, never a value.
+        """
+        def of(per_site: Dict[str, object]) -> Dict[str, object]:
+            return {domain: per_site[domain] for domain in domains
+                    if domain in per_site}
+
+        return (self.clock, self.breaker, self.last_failure,
+                self._current_url, self._page_pii, of(self.tracker_storage),
+                of(self._consent_decisions), of(self._captcha_ready))
+
+    def restore_journal_state(self, state: Tuple[object, ...]) -> None:
+        """Adopt state from :meth:`journal_state`."""
+        (self.clock, self.breaker, self.last_failure, self._current_url,
+         self._page_pii, storage, consent, captcha) = state
+        self.tracker_storage.update(storage)
+        self._consent_decisions.update(consent)
+        self._captcha_ready.update(captcha)
 
     # -- document loading --------------------------------------------------
 

@@ -339,7 +339,8 @@ class Study:
                                     supervision=result.supervision)
             if resume is not None and \
                     (os.path.exists(resume) or not resume_or_start):
-                session = CrawlSession.load(resume, expect_shard=None)
+                session = CrawlSession.load(resume, self.population,
+                                            expect_shard=None)
             else:
                 session = self.crawler().start()
             emit = self.config.progress

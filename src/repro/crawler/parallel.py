@@ -215,9 +215,6 @@ class ShardResult:
 
 def _session_for_job(job: ShardJob) -> CrawlSession:
     """Build (or resume) the crawl session a job describes."""
-    if job.checkpoint_path and os.path.exists(job.checkpoint_path):
-        return CrawlSession.load(job.checkpoint_path,
-                                 expect_shard=job.shard)
     if job.assets is not None:
         # Shards never share state *within* the population they crawl
         # (the layout partitions sites), so every shard this process
@@ -225,6 +222,9 @@ def _session_for_job(job: ShardJob) -> CrawlSession:
         population = job.assets.compiled().population
     else:
         population = job.spec.build()
+    if job.checkpoint_path and os.path.exists(job.checkpoint_path):
+        return CrawlSession.load(job.checkpoint_path, population,
+                                 expect_shard=job.shard)
     crawler = StudyCrawler(
         population, profile=job.profile, extension=job.extension,
         firewall=job.firewall, consent_policy=job.consent_policy,
@@ -254,11 +254,10 @@ def run_shard_job(job: ShardJob,
     final_sample = step_session(session, shard=session.shard.index,
                                 checkpoint=job.checkpoint_path, emit=emit,
                                 resources=job.resources)
+    # No save after finishing: the last per-site record already holds
+    # every site, so a re-run of a complete shard loads it and finishes
+    # again to the same result (finish() is deterministic).
     dataset = session.finish()
-    if job.checkpoint_path:
-        # Persist the finished state too: a re-run of an already-complete
-        # shard resumes here and re-finishes idempotently.
-        session.save(job.checkpoint_path)
     plan = session.fault_plan
     stripped = CrawlDataset(
         profile_name=dataset.profile_name, log=dataset.log,

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, \
+    Sequence, Tuple
 
 from ..browser import (
     Browser,
@@ -36,17 +37,88 @@ from ..mailsim import ConfirmationMailHook, Mailbox
 from ..netsim import CaptureLog
 from ..netsim.faults import FaultPlan
 from ..obs import NULL_RECORDER, Recorder
+from ..obs.recorder import Span
 from ..obs.progress import HeartbeatEvent, final_heartbeat, step_heartbeat
 from ..obs.runtime import ResourceSampler, gc_paused
+from ..websim.faults import wrap_server
 from ..websim.population import Population
 from ..websim.site import Website
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import (
+    CheckpointError,
+    append_record,
+    read_journal,
+    start_journal,
+)
 from .flows import STATUS_QUARANTINED, AuthFlowRunner, FlowResult
 from .sharding import ShardInfo
 
 #: Sentinel for :meth:`CrawlSession.load`'s ``expect_shard`` parameter:
 #: "the caller has no expectation, skip the layout check".
 ANY_SHARD = object()
+
+
+def population_digest(population: Population,
+                      sites: Sequence[Website]) -> str:
+    """Identity of the part of ``population`` a session over ``sites``
+    crawls, for checkpoint resumes.
+
+    Folds the ``repr`` of every one of those sites (auth setup, embedded
+    trackers and their leak behaviour, DNS, consent, mail) and of every
+    tracker service.  A checkpoint keeps this digest instead of the
+    population, and a resume against a population whose digest differs
+    is refused.  The fields are strings, numbers, tuples and dicts in
+    build order, so the digest is the same in every process.
+    """
+    digest = hashlib.sha256()
+    for site in sites:
+        digest.update(repr(site).encode("utf-8"))
+    digest.update(b"\x00")
+    for service in population.catalog.services():
+        digest.update(repr(service).encode("utf-8"))
+    return digest.hexdigest()
+
+
+@dataclass
+class _JournalMark:
+    """How much of a session its checkpoint journal at ``path`` holds:
+    the journal's length, how many items of each append-only collection
+    it has, and the cookie jar's ``journal_version`` at the last save
+    (``None``: none yet, so the jar goes in whole)."""
+
+    path: str
+    end: int = 0
+    sites: int = 0
+    entries: int = 0
+    cookies: Optional[int] = None
+    messages: int = 0
+    events: int = 0
+    spans: int = 0
+
+
+class _JournalRecord(NamedTuple):
+    """One checkpoint journal record: what a session appended since the
+    previous record, plus its small mutable state as it stands now."""
+
+    next_index: int
+    entries: list
+    flows: List[Tuple[str, FlowResult]]
+    messages: list
+    fault_events: list
+    spans: List[Span]
+    cookies: Tuple[bool, list]
+    browser: Tuple[object, ...]
+    server: Tuple[object, ...]
+    fault_plan: Optional[Tuple[object, ...]]
+    firewall: object
+    recorder: Optional[Tuple[object, ...]]
+
+
+def _firewall_state(firewall: object) -> object:
+    """The state of a firewall that keeps some across requests (it
+    offers ``journal_state``, as :class:`~repro.mitigation.PiiFirewall`
+    does for its counters), else ``None``."""
+    journal_state = getattr(firewall, "journal_state", None)
+    return None if journal_state is None else journal_state()
 
 
 @dataclass
@@ -140,10 +212,10 @@ class CrawlSession:
 
     The session owns every piece of mutable crawl state — browser (cookie
     jar, capture log, tracker storage, circuit breakers, clock), mailbox,
-    fault-plan counters and the pending site queue — and is therefore
-    picklable as a unit: :meth:`save` checkpoints it, :meth:`load`
-    resumes it, and a resumed session finishes with a dataset whose
-    :meth:`CrawlDataset.fingerprint` equals an uninterrupted run's.
+    fault-plan counters and the pending site queue: :meth:`save` journals
+    it, :meth:`load` resumes it, and a resumed session finishes with a
+    dataset whose :meth:`CrawlDataset.fingerprint` equals an
+    uninterrupted run's.
     """
 
     def __init__(self, crawler: "StudyCrawler",
@@ -172,12 +244,12 @@ class CrawlSession:
         self.profile = crawler.profile
         self.persona = population.persona
         self.mailbox = Mailbox(self.persona.email)
-        server = population.build_server(
-            mail_hook=ConfirmationMailHook(self.mailbox),
-            fault_plan=crawler.fault_plan)
+        self.server = population.build_server(
+            mail_hook=ConfirmationMailHook(self.mailbox))
         self.fault_plan = crawler.fault_plan
         self.browser = Browser(
-            profile=crawler.profile, server=server,
+            profile=crawler.profile,
+            server=wrap_server(self.server, crawler.fault_plan),
             resolver=population.resolver(fault_plan=crawler.fault_plan),
             catalog=population.catalog, clock=crawler.clock,
             extension=crawler.extension, firewall=crawler.firewall,
@@ -196,6 +268,10 @@ class CrawlSession:
             self._root_span = self.recorder.start_span(
                 "shard", start=self.browser.clock.now(),
                 index=shard.index, sites=len(self._sites))
+        #: Site spans already under the span this session records into
+        #: when it started (a shared study recorder may hold some).
+        self._span_base = len(self._span_target())
+        self._journal: Optional[_JournalMark] = None
 
     # -- progress --------------------------------------------------------
 
@@ -288,17 +364,137 @@ class CrawlSession:
 
     # -- persistence -----------------------------------------------------
 
-    def save(self, path: str) -> str:
-        """Checkpoint this session (atomically) to ``path``.
+    def _span_target(self) -> List[Span]:
+        """The span list each step appends its site span to."""
+        current = self.recorder.current_span
+        return current.children if current is not None \
+            else self.recorder.roots
 
-        Returns the path written.  Raises :class:`OSError` if the
-        destination directory is not writable.
+    def _snapshot(self) -> Dict[str, object]:
+        """The journal snapshot: this session's starting configuration.
+
+        It holds no capture entries and no population: :meth:`load`
+        rebuilds the server, resolver and catalog from the population its
+        caller supplies, checked against the digest kept here.  The
+        recorder must not hold this session's site spans while the
+        snapshot is pickled (see :meth:`save`).
         """
-        return save_checkpoint(self, path)
+        browser = self.browser
+        plan = self.fault_plan
+        return {
+            "population": population_digest(self.population, self._sites),
+            "sites": [site.domain for site in self._sites],
+            "profile": self.profile,
+            "automated": self.runner.automated,
+            "consent_policy": browser.consent_policy,
+            "retry_policy": browser.retry_policy,
+            # Records carry the firewall's counters (_firewall_state) and
+            # the fault plan's counters and events.
+            "extension": browser.extension,
+            "firewall": browser.firewall,
+            "fault_plan": None if plan is None else plan.fresh_copy(),
+            "recorder": self.recorder,
+            "root_span": self._root_span,
+        }
+
+    def _record(self, mark: _JournalMark) -> _JournalRecord:
+        """Everything that changed since ``mark``, as one journal record."""
+        domains = [site.domain
+                   for site in self._sites[mark.sites:self._next_index]]
+        plan = self.fault_plan
+        recorder = self.recorder
+        return _JournalRecord(
+            next_index=self._next_index,
+            entries=self.browser.log.entries[mark.entries:],
+            flows=[(domain, self.flows[domain]) for domain in domains],
+            messages=self.mailbox.since(mark.messages),
+            fault_events=[] if plan is None else plan.events[mark.events:],
+            spans=self._span_target()[mark.spans:],
+            cookies=self.browser.jar.journal_changes(mark.cookies),
+            browser=self.browser.journal_state(domains),
+            server=self.server.journal_state(domains),
+            fault_plan=None if plan is None else plan.journal_state(),
+            firewall=_firewall_state(self.browser.firewall),
+            recorder=((recorder.metrics, recorder.clock)
+                      if recorder.enabled else None))
+
+    def _apply(self, record: _JournalRecord) -> None:
+        """Replay one journal record onto this (loading) session."""
+        self._next_index = record.next_index
+        self.browser.log.entries.extend(record.entries)
+        self.flows.update(record.flows)
+        for message in record.messages:
+            self.mailbox.deliver(message)
+        if self.fault_plan is not None:
+            self.fault_plan.events.extend(record.fault_events)
+            self.fault_plan.restore_journal_state(record.fault_plan)
+        self._span_target().extend(record.spans)
+        self.browser.jar.apply_journal_changes(record.cookies)
+        self.browser.restore_journal_state(record.browser)
+        self.server.restore_journal_state(record.server)
+        if record.firewall is not None:
+            self.browser.firewall.restore_journal_state(record.firewall)
+        if record.recorder is not None:
+            self.recorder.metrics, self.recorder.clock = record.recorder
+
+    def _mark(self, path: str, end: int) -> _JournalMark:
+        plan = self.fault_plan
+        return _JournalMark(
+            path=path, end=end, sites=self._next_index,
+            entries=len(self.browser.log.entries),
+            cookies=self.browser.jar.journal_version,
+            messages=len(self.mailbox),
+            events=0 if plan is None else len(plan.events),
+            spans=len(self._span_target()))
+
+    def save(self, path: str) -> str:
+        """Checkpoint this session to the journal at ``path``.
+
+        The first save to ``path`` atomically replaces it with a new
+        journal: the header, the snapshot and one record of everything
+        crawled so far.  Each later save appends one record — the sites
+        crawled since the previous save, with their capture entries,
+        flows, mail, fault events and spans, plus the session's small
+        mutable state — and fsyncs it, so a save costs the sites it
+        adds, not the crawl so far.  Returns the path written.
+
+        Raises :class:`RuntimeError` on a finished session (:meth:`load`
+        of its last per-site record finishes to the same dataset) and
+        :class:`OSError` if the destination is not writable.
+        """
+        if self._finished:
+            raise RuntimeError(
+                "a finished session is not checkpointed: its journal's "
+                "last per-site record already finishes to this dataset")
+        mark = self._journal
+        if mark is not None and mark.path == path:
+            end = append_record(path, mark.end, self._record(mark))
+        else:
+            record = self._record(_JournalMark(path=path,
+                                               spans=self._span_base))
+            # The snapshot is the starting state, so the recorder goes in
+            # without this session's site spans: the record holds them.
+            target = self._span_target()
+            crawled = target[self._span_base:]
+            del target[self._span_base:]
+            try:
+                end = start_journal(path, self.shard, self._snapshot(),
+                                    record)
+            finally:
+                target.extend(crawled)
+        self._journal = self._mark(path, end)
+        return path
 
     @staticmethod
-    def load(path: str, expect_shard: object = ANY_SHARD) -> "CrawlSession":
+    def load(path: str, population: Population,
+             expect_shard: object = ANY_SHARD) -> "CrawlSession":
         """Resume a session checkpointed by :meth:`save`.
+
+        ``population`` is the population the session crawled (the
+        journal does not hold it): a shard job's rebuilt population, or
+        a study's own.  A torn final record — a writer killed mid-append
+        — is dropped, so the site it described is crawled again.  The
+        resumed session keeps appending to ``path``.
 
         ``expect_shard`` declares what kind of session the caller is
         prepared to resume:
@@ -309,36 +505,64 @@ class CrawlSession:
           that shard of exactly that layout.
 
         Raises :class:`~repro.crawler.CheckpointError` when the file is
-        not a checkpoint, or when the checkpointed session's shard
-        identity does not match the expectation — a checkpoint written
-        under a different shard layout (different shard count, different
-        site membership, or a serial-vs-sharded mismatch) must never be
+        not a checkpoint, when ``population`` is not the one the session
+        crawled, or when the checkpointed session's shard identity does
+        not match the expectation — a checkpoint written under a
+        different shard layout (different shard count, different site
+        membership, or a serial-vs-sharded mismatch) must never be
         silently resumed against the wrong site list.  Raises
         :class:`OSError` if the file cannot be read.
         """
-        session = load_checkpoint(path)
-        if expect_shard is ANY_SHARD:
-            return session
-        found = getattr(session, "shard", None)
-        if expect_shard is None:
-            if found is not None:
-                raise CheckpointError(
-                    "%s holds %s of a parallel crawl, not a serial "
-                    "(whole-population) session; resume it with the "
-                    "worker pool that wrote it" % (path, found.describe()))
-            return session
-        if found is None:
+        journal = read_journal(path)
+        _check_shard(path, journal.header, expect_shard)
+        snapshot = journal.snapshot
+        sites = [population.sites.get(domain) for domain in snapshot["sites"]]
+        if None in sites or snapshot["population"] != population_digest(
+                population, sites):
             raise CheckpointError(
-                "%s holds a serial (unsharded) session but %s was "
-                "expected; a serial checkpoint cannot seed a parallel "
-                "crawl" % (path, expect_shard.describe()))
-        if found != expect_shard:
-            raise CheckpointError(
-                "%s was written by %s but the running layout expects %s; "
-                "shard layouts must match exactly to resume (same shard "
-                "count and same site partition)"
-                % (path, found.describe(), expect_shard.describe()))
+                "%s was written for a different population than the one "
+                "supplied to resume it" % path)
+        crawler = StudyCrawler(
+            population, profile=snapshot["profile"],
+            extension=snapshot["extension"], firewall=snapshot["firewall"],
+            consent_policy=snapshot["consent_policy"],
+            automated=snapshot["automated"],
+            fault_plan=snapshot["fault_plan"],
+            retry_policy=snapshot["retry_policy"])
+        session = CrawlSession(crawler, sites, shard=journal.header)
+        session.recorder = snapshot["recorder"]
+        session._root_span = snapshot["root_span"]
+        session._span_base = len(session._span_target())
+        for record in journal.records:
+            session._apply(record)
+        session._journal = session._mark(path, journal.end)
         return session
+
+
+def _check_shard(path: str, found: object, expect_shard: object) -> None:
+    """Raise :class:`CheckpointError` unless a checkpoint of shard
+    ``found`` (``None``: unsharded) may resume where ``expect_shard`` is
+    expected (see :meth:`CrawlSession.load`)."""
+    if expect_shard is ANY_SHARD:
+        return
+    if expect_shard is None:
+        if found is not None:
+            raise CheckpointError(
+                "%s holds %s of a parallel crawl, not a serial "
+                "(whole-population) session; resume it with the "
+                "worker pool that wrote it" % (path, found.describe()))
+        return
+    if found is None:
+        raise CheckpointError(
+            "%s holds a serial (unsharded) session but %s was "
+            "expected; a serial checkpoint cannot seed a parallel "
+            "crawl" % (path, expect_shard.describe()))
+    if found != expect_shard:
+        raise CheckpointError(
+            "%s was written by %s but the running layout expects %s; "
+            "shard layouts must match exactly to resume (same shard "
+            "count and same site partition)"
+            % (path, found.describe(), expect_shard.describe()))
 
 
 @gc_paused
@@ -425,7 +649,12 @@ class StudyCrawler:
         explicit ``retry_policy`` is given.  ``recorder`` (a
         :class:`repro.obs.Recorder`) turns on structured tracing for the
         sessions this crawler starts; ``None`` (the default) records
-        nothing and costs nothing."""
+        nothing and costs nothing.  A firewall that keeps state across
+        requests offers ``journal_state()`` and
+        ``restore_journal_state(state)``, as ``PiiFirewall`` does for its
+        counters, so that a checkpoint resume restores it; an extension,
+        or any other firewall, is checkpointed as it was at the first
+        save."""
         from ..websim.consent import CONSENT_ACCEPT_ALL
         ensure_protocol(extension, ContentBlocker, "extension")
         ensure_protocol(firewall, OutboundFirewall, "firewall")

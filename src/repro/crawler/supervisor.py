@@ -387,7 +387,7 @@ def write_manifest(checkpoint_dir: str, layout: ShardLayout,
         }
     path = os.path.join(checkpoint_dir, MANIFEST_NAME)
     return atomic_write_text(
-        path, json.dumps(document, indent=2, sort_keys=True) + "\n")
+        path, json.dumps(document, sort_keys=True) + "\n")
 
 
 def load_manifest(checkpoint_dir: str) -> Optional[Dict[str, object]]:

@@ -80,6 +80,10 @@ class Mailbox:
                 if (folder is None or m.folder == folder)
                 and (kind is None or m.kind == kind)]
 
+    def since(self, count: int) -> List[EmailMessage]:
+        """The messages delivered after the first ``count``, in order."""
+        return self._messages[count:]
+
     def latest_confirmation(self, site_domain: str) -> Optional[EmailMessage]:
         """Most recent confirmation mail from a site, if any."""
         for message in reversed(self._messages):

@@ -72,6 +72,16 @@ class PiiFirewall:
     def redactions(self) -> int:
         return self._redactions
 
+    # -- checkpointing -------------------------------------------------------
+
+    def journal_state(self) -> Tuple[int, int]:
+        """The statistics counters, for a crawl checkpoint record."""
+        return self._scrubbed_requests, self._redactions
+
+    def restore_journal_state(self, state: Tuple[int, int]) -> None:
+        """Adopt the counters from :meth:`journal_state`."""
+        self._scrubbed_requests, self._redactions = state
+
     # -- scrubbing -----------------------------------------------------------
 
     def _scrub_text(self, text: str) -> Tuple[str, int]:

@@ -117,6 +117,10 @@ class CookieJar:
     sequence number, which breaks RFC 6265 order ties exactly as the
     insertion order of ``_cookies`` does.  Only ``_cookies`` is pickled;
     the index is rebuilt on load and the header memo starts empty.
+
+    For checkpoint journals the jar also stamps every stored key with a
+    change counter, so :meth:`journal_changes` can hand out just the
+    cookies set since an earlier :attr:`journal_version`.
     """
 
     def __init__(self) -> None:
@@ -129,6 +133,12 @@ class CookieJar:
         self._sequence = 0
         # rendered Cookie header value -> its one shared string
         self._headers: Dict[str, str] = {}
+        # stored key -> journal_version of its last change (keys new
+        # since a version come in the order they were stored), and the
+        # version of the last removal
+        self._stamps: Dict[_Key, int] = {}
+        self._version = 0
+        self._removed_at = 0
         for key in self._cookies:
             self._add_to_index(key)
 
@@ -152,6 +162,8 @@ class CookieJar:
         else:
             self._add_to_index(key)
         self._cookies[key] = cookie
+        self._version += 1
+        self._stamps[key] = self._version
 
     def set_from_header(self, header_value: str, request_url: Url,
                         now: float = 0.0, partition: str = "") -> Optional[Cookie]:
@@ -219,16 +231,59 @@ class CookieJar:
                    if cookie.is_expired(now)]
         for key in expired:
             del self._cookies[key]
+            self._stamps.pop(key, None)
             bucket = self._index[key[:2]]
             del bucket[key]
             if not bucket:
                 del self._index[key[:2]]
+        if expired:
+            self._removed()
         return len(expired)
 
     def clear(self) -> None:
         """Empty the jar (fresh browser profile)."""
         self._cookies.clear()
         self._index.clear()
+        self._stamps.clear()
+        self._removed()
+
+    def _removed(self) -> None:
+        self._version += 1
+        self._removed_at = self._version
+
+    # -- checkpoint journal ---------------------------------------------
+
+    @property
+    def journal_version(self) -> int:
+        """A counter that every change to the jar advances."""
+        return self._version
+
+    def journal_changes(self, since: Optional[int] = None
+                        ) -> Tuple[bool, List[Tuple[_Key, Cookie]]]:
+        """The cookies changed after version ``since``, for a checkpoint
+        record: ``(False, [(key, cookie), ...])``.  With ``since=None``,
+        or when a cookie was removed after ``since``, the whole jar
+        instead: ``(True, [...])``."""
+        if since is None or self._removed_at > since:
+            return True, list(self._cookies.items())
+        return False, [(key, self._cookies[key])
+                       for key, stamp in self._stamps.items()
+                       if stamp > since]
+
+    def apply_journal_changes(
+            self, changes: Tuple[bool, List[Tuple[_Key, Cookie]]]) -> None:
+        """Adopt cookies from :meth:`journal_changes`.  A changed key
+        keeps its place in the jar's order and a new key goes last, as
+        :meth:`set_cookie` does it."""
+        whole, cookies = changes
+        if whole:
+            self._cookies = dict(cookies)
+            self._rebuild_index()
+            return
+        for key, cookie in cookies:
+            if key not in self._cookies:
+                self._add_to_index(key)
+            self._cookies[key] = cookie
 
     def __len__(self) -> int:
         return len(self._cookies)

@@ -205,6 +205,18 @@ class FaultPlan:
 
     # -- lifecycle -------------------------------------------------------
 
+    def journal_state(self) -> Tuple[Dict[Tuple[str, str], int],
+                                     Dict[str, int]]:
+        """The per-origin counters and streaks, for a checkpoint record
+        (the event log is journaled as appended events)."""
+        return self._counters, self._streaks
+
+    def restore_journal_state(
+            self, state: Tuple[Dict[Tuple[str, str], int],
+                               Dict[str, int]]) -> None:
+        """Adopt counters and streaks from :meth:`journal_state`."""
+        self._counters, self._streaks = state
+
     def fresh_copy(self) -> "FaultPlan":
         """A new plan with this plan's configuration and zero history.
 

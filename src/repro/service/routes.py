@@ -48,7 +48,7 @@ class Response:
 
 def json_response(status: int, document: Dict[str, object],
                   headers: Tuple[Tuple[str, str], ...] = ()) -> Response:
-    body = (json.dumps(document, indent=2, sort_keys=True) + "\n"
+    body = (json.dumps(document, sort_keys=True) + "\n"
             ).encode("utf-8")
     return Response(status=status, body=body, headers=headers)
 

@@ -309,7 +309,7 @@ class JobStore:
 
 
 def _dumps(document: Dict[str, object]) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return json.dumps(document, sort_keys=True) + "\n"
 
 
 __all__ = ["CHECKPOINTS_DIR", "JobRecord", "JobStore", "PROGRESS_NAME",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..netsim import Headers, HttpRequest, HttpResponse
 from ..psl import default_list
@@ -56,6 +56,25 @@ class WebServer:
     #: Counter making tracker-minted cookie IDs unique per issuance
     #: (a cleared jar gets a *new* tuid, like real tracker backends).
     _tuid_sequence: int = 0
+
+    # -- checkpoint journal ----------------------------------------------
+
+    def journal_state(self, domains: Sequence[str]) -> Tuple[object, ...]:
+        """Mutable server state for a checkpoint record: the tracker ID
+        sequence, and the accounts and pending confirmations of
+        ``domains`` (the sites crawled since the previous record — a
+        crawl only ever touches the accounts of the site it crawls)."""
+        return (self._tuid_sequence,
+                {domain: self.accounts[domain] for domain in domains
+                 if domain in self.accounts},
+                {domain: self.pending_tokens[domain] for domain in domains
+                 if domain in self.pending_tokens})
+
+    def restore_journal_state(self, state: Tuple[object, ...]) -> None:
+        """Adopt state from :meth:`journal_state`."""
+        self._tuid_sequence, accounts, pending = state
+        self.accounts.update(accounts)
+        self.pending_tokens.update(pending)
 
     # -- entry point ---------------------------------------------------
 

@@ -136,6 +136,71 @@ def test_a_faulted_service_job_makes_no_cyclic_garbage():
     _assert_no_cycles(run)
 
 
+def _json_encoder_cycles(run):
+    """Run ``run`` with the GC off; return the JSON-encoder objects a
+    collection afterwards finds in unreachable cycles."""
+    saved = []
+
+    def keep():
+        run()
+        gc.collect()
+        saved.extend(
+            obj for obj in gc.garbage
+            if type(obj).__name__ == "JSONEncoder"
+            or getattr(obj, "__qualname__", "").startswith(
+                "_make_iterencode"))
+
+    _cyclic_garbage(keep)
+    return saved
+
+
+def test_the_json_oracle_sees_the_indenting_encoder():
+    import json
+    assert _json_encoder_cycles(lambda: json.dumps({"a": [1]}, indent=2))
+    assert not _json_encoder_cycles(
+        lambda: json.dumps({"a": [1]}, sort_keys=True))
+
+
+def test_a_served_job_leaves_no_json_encoder_cycles(tmp_path):
+    """Status, result and manifest JSON, on disk and over HTTP, goes
+    through json's C encoder, which makes no reference cycles."""
+    import http.client
+    import json
+
+    service = StudyService(ServiceConfig(port=0, jobs_dir=str(tmp_path),
+                                         runners=1, queue_size=4))
+    service.start()
+
+    def request(method, path, body=None):
+        connection = http.client.HTTPConnection("127.0.0.1", service.port,
+                                                timeout=_TIMEOUT)
+        try:
+            connection.request(method, path, body=body)
+            response = connection.getresponse()
+            return response.status, response.read()
+        finally:
+            connection.close()
+
+    def serve_one_job():
+        status, body = request("POST", "/studies", json.dumps(
+            {"seed": 404, "sites": 24, "fault_rate": 0.05,
+             "fault_seed": 3}).encode("utf-8"))
+        assert status == 202
+        job = json.loads(body)["id"]
+        status, body = request("GET", "/studies/%s/events" % job)
+        assert status == 200 and b"event: end" in body
+        for path in ("/studies/%s" % job, "/studies/%s/result" % job):
+            status, body = request("GET", path)
+            assert status == 200
+            assert json.loads(body)["fingerprint"]
+
+    try:
+        service.start_in_thread()
+        assert _json_encoder_cycles(serve_one_job) == []
+    finally:
+        service.close()
+
+
 # -- the pause nests across threads and forks ----------------------------
 
 

@@ -7,7 +7,8 @@ ISSUE 3 found ``crawler.sharding`` and ``CrawlDataset.fingerprint()``
 already on ``hashlib`` exclusively (and statan rule DET104 now forbids
 regressions); this test is the dynamic half of that guarantee: two
 *subprocesses with explicitly different hash seeds* must agree on the
-crawl fingerprint and on the shard layout digest.
+crawl fingerprint, on the shard layout digest and on the population
+digest a checkpoint journal is resumed against.
 """
 
 import os
@@ -21,6 +22,7 @@ REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(
 #: fingerprint).  Runs in a fresh interpreter so PYTHONHASHSEED applies.
 _PROBE = """
 from repro.crawler import StudyCrawler
+from repro.crawler.runner import population_digest
 from repro.crawler.sharding import ShardLayout
 from repro.websim.generator import GeneratorConfig, generate_population
 
@@ -31,6 +33,7 @@ layout = ShardLayout.for_domains(population.sites, num_shards=3)
 dataset = StudyCrawler(population).crawl()
 print(layout.digest())
 print(dataset.fingerprint())
+print(population_digest(population, population.site_list()))
 """
 
 
@@ -42,8 +45,8 @@ def _probe(hash_seed):
         [sys.executable, "-c", _PROBE], env=env, timeout=300,
         capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    layout_digest, fingerprint = result.stdout.split()
-    return layout_digest, fingerprint
+    layout_digest, fingerprint, population = result.stdout.split()
+    return layout_digest, fingerprint, population
 
 
 def test_fingerprint_and_layout_survive_hashseed_change():

@@ -198,17 +198,53 @@ def test_serial_resume_of_shard_checkpoint_is_rejected(tmp_path):
     _interrupted_engine(tmp_path)
     with pytest.raises(CheckpointError):
         CrawlSession.load(str(tmp_path / "shard-000.ckpt"),
-                          expect_shard=None)
+                          _spec(3).build(), expect_shard=None)
 
 
 def test_shard_resume_of_serial_checkpoint_is_rejected(tmp_path):
     engine = ParallelCrawler(_spec(3), workers=1, num_shards=_NUM_SHARDS)
-    serial_session = StudyCrawler(
-        generate_population(seed=3, config=_CONFIG)).start()
+    population = generate_population(seed=3, config=_CONFIG)
+    serial_session = StudyCrawler(population).start()
     serial_session.step()
     path = str(tmp_path / "serial.ckpt")
     serial_session.save(path)
     with pytest.raises(CheckpointError):
-        CrawlSession.load(path, expect_shard=engine.layout.info(0))
+        CrawlSession.load(path, population,
+                          expect_shard=engine.layout.info(0))
     # and without an expectation the historical behaviour is preserved
-    assert CrawlSession.load(path).crawled_count == 1
+    assert CrawlSession.load(path, population).crawled_count == 1
+
+
+def test_rerun_of_a_finished_shard_finishes_again_from_its_journal(
+        tmp_path):
+    """A finished shard's journal ends with its last site's record (no
+    save after finishing): a rerun loads it and finishes to the same
+    result, trace included, delivering the marketing mail once."""
+    from repro.crawler import ShardJob
+    from repro.mailsim.mailbox import KIND_MARKETING
+
+    population = generate_population(seed=3, config=_CONFIG)
+    for site in population.sites.values():
+        site.marketing_mail = (2, 1)
+    layout = ShardLayout.for_domains(population.sites,
+                                     num_shards=_NUM_SHARDS)
+    index = max(range(layout.num_shards),
+                key=lambda shard: len(layout.shards[shard]))
+    path = str(tmp_path / "shard.ckpt")
+
+    def run():
+        return run_shard_job(ShardJob(
+            spec=PrebuiltPopulationSpec(population), shard=layout.info(index),
+            fault_plan=FaultPlan(seed=9, transient_rate=0.25),
+            checkpoint_path=path, trace=True))
+
+    first = run()
+    journal = open(path, "rb").read()
+    second = run()
+    assert open(path, "rb").read() == journal
+    assert second.dataset.fingerprint() == first.dataset.fingerprint()
+    assert second.recorder.snapshot() == first.recorder.snapshot()
+    assert second.fault_events == first.fault_events
+    marketing = first.dataset.mailbox.messages(kind=KIND_MARKETING)
+    assert len(marketing) == 3 * len(first.dataset.successful_sites()) > 0
+    assert second.dataset.mailbox.messages(kind=KIND_MARKETING) == marketing

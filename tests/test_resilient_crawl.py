@@ -110,7 +110,7 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     session.save(path)
     del session  # the interrupted crawl is gone; only the file survives
 
-    resumed = CrawlSession.load(path)
+    resumed = CrawlSession.load(path, _population())
     assert resumed.crawled_count == 3
     assert len(resumed.remaining_sites) == _CONFIG["n_sites"] - 3
     dataset = resumed.run()
@@ -127,14 +127,15 @@ def test_checkpoint_after_every_site(tmp_path):
         session.step()
         session.save(path)
     expected = session.finish().fingerprint()
-    assert CrawlSession.load(path).run().fingerprint() == expected
+    assert CrawlSession.load(path, _population()).run().fingerprint() \
+        == expected
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(CheckpointError):
-        CrawlSession.load(str(path))
+        CrawlSession.load(str(path), _population())
 
 
 def _assert_header_refused(tmp_path, version):
@@ -144,14 +145,14 @@ def _assert_header_refused(tmp_path, version):
     path = tmp_path / "crawl.ckpt"
     StudyCrawler(_population()).start().save(str(path))
     blob = path.read_bytes()
-    assert blob.startswith(b"repro-crawl-checkpoint:5\n")
+    assert blob.startswith(b"repro-crawl-checkpoint:6\n")
     old = tmp_path / ("v%d.ckpt" % version)
     old.write_bytes(b"repro-crawl-checkpoint:%d\n" % version
                     + blob[len(CHECKPOINT_MAGIC):])
     with pytest.raises(CheckpointError,
-                       match="is not a version-5 crawl checkpoint "
+                       match="is not a version-6 crawl checkpoint "
                              r"\(bad or outdated header"):
-        CrawlSession.load(str(old))
+        CrawlSession.load(str(old), _population())
 
 
 def test_checkpoint_refuses_a_version_2_header(tmp_path):
@@ -170,6 +171,12 @@ def test_checkpoint_refuses_a_version_4_header(tmp_path):
     ``HttpRequest``, ``HttpResponse``, ``CaptureEntry``) with a
     ``__dict__``; the records are slotted now."""
     _assert_header_refused(tmp_path, 4)
+
+
+def test_checkpoint_refuses_a_version_5_header(tmp_path):
+    """Version-5 checkpoints pickle the whole session, population and
+    capture log included; version 6 is an append-only journal."""
+    _assert_header_refused(tmp_path, 5)
 
 
 def test_checkpoint_save_is_atomic(tmp_path):
@@ -198,7 +205,7 @@ def test_truncated_checkpoint_is_rejected_with_clear_error(tmp_path):
         torn = tmp_path / ("torn-%s.ckpt" % label)
         torn.write_bytes(truncated)
         with pytest.raises(CheckpointError) as excinfo:
-            CrawlSession.load(str(torn))
+            CrawlSession.load(str(torn), _population())
         message = str(excinfo.value)
         assert "truncated" in message or "checkpoint" in message, label
 
@@ -210,8 +217,178 @@ def test_corrupted_checkpoint_payload_fails_integrity_check(tmp_path):
     blob[len(blob) // 2] ^= 0xFF      # flip one payload byte
     (tmp_path / "crawl.ckpt").write_bytes(bytes(blob))
     with pytest.raises(CheckpointError) as excinfo:
-        CrawlSession.load(path)
+        CrawlSession.load(path, _population())
     assert "digest mismatch" in str(excinfo.value)
+
+
+# -- the append-only journal ----------------------------------------------
+
+
+def _journal_sizes(session, path):
+    """Save ``session`` to ``path`` now and after every further site;
+    returns the journal's size after each save."""
+    session.save(str(path))
+    sizes = [path.stat().st_size]
+    while not session.done:
+        session.step()
+        session.save(str(path))
+        sizes.append(path.stat().st_size)
+    return sizes
+
+
+def test_journal_save_only_appends(tmp_path):
+    path = tmp_path / "crawl.ckpt"
+    session = StudyCrawler(
+        _population(),
+        fault_plan=FaultPlan(seed=3, transient_rate=0.2)).start()
+    session.save(str(path))
+    before = path.read_bytes()
+    while not session.done:
+        session.step()
+        session.save(str(path))
+        after = path.read_bytes()
+        assert len(after) > len(before) and after.startswith(before)
+        before = after
+    assert os.listdir(str(tmp_path)) == ["crawl.ckpt"]
+
+
+def test_journal_resumes_from_every_cut_of_its_last_record(tmp_path):
+    """A writer killed mid-append leaves a torn last record: a resume
+    drops it, crawls that site again and ends at the uninterrupted
+    fingerprint, wherever the cut fell.  The last site is a dead origin,
+    so its record is small enough to cut at every byte."""
+    population = _population()
+    sites = population.site_list()[:2]
+    plan = dict(seed=3, transient_rate=0.2, dead_origins=[sites[-1].domain])
+
+    def start():
+        return StudyCrawler(population,
+                            fault_plan=FaultPlan(**plan)).start(sites)
+
+    expected = start().run().fingerprint()
+    path = tmp_path / "crawl.ckpt"
+    live = start()
+    live.step()
+    live.save(str(path))
+    last_record = path.stat().st_size
+    live.step()
+    live.save(str(path))
+    blob = path.read_bytes()
+    torn = tmp_path / "torn.ckpt"
+    for cut in range(last_record, len(blob)):
+        torn.write_bytes(blob[:cut])
+        resumed = CrawlSession.load(str(torn), population)
+        assert resumed.crawled_count == 1, cut
+        assert resumed.run().fingerprint() == expected, cut
+    # A resumed session writes its next record over a torn tail longer
+    # than that record, and cuts the rest of the tail off.
+    from repro.crawler.checkpoint import _LENGTH_STRUCT, read_journal
+    torn.write_bytes(blob[:last_record] + _LENGTH_STRUCT.pack(10 ** 6)
+                     + b"\xff" * 2 * (len(blob) - last_record))
+    resumed = CrawlSession.load(str(torn), population)
+    resumed.step()
+    resumed.save(str(torn))
+    assert torn.read_bytes()[:last_record] == blob[:last_record]
+    assert read_journal(str(torn)).end == torn.stat().st_size
+    again = CrawlSession.load(str(torn), population)
+    assert again.crawled_count == 2
+    assert again.finish().fingerprint() == expected
+
+
+def test_journal_cut_in_header_or_snapshot_is_truncated(tmp_path):
+    from repro.crawler.checkpoint import CHECKPOINT_MAGIC, _LENGTH_STRUCT
+    population = _population()
+    path = tmp_path / "crawl.ckpt"
+    sizes = _journal_sizes(StudyCrawler(population).start(), path)
+    blob = path.read_bytes()
+    offset = len(CHECKPOINT_MAGIC)
+    for _ in ("header", "snapshot"):
+        (length,) = _LENGTH_STRUCT.unpack_from(blob, offset)
+        offset += _LENGTH_STRUCT.size + length + 32
+    assert offset < sizes[0]
+    torn = tmp_path / "torn.ckpt"
+    for cut in range(len(CHECKPOINT_MAGIC), offset):
+        torn.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointError, match="is truncated"):
+            CrawlSession.load(str(torn), population)
+
+
+def test_journal_flipped_byte_in_a_middle_record_fails_its_digest(tmp_path):
+    population = _population()
+    path = tmp_path / "crawl.ckpt"
+    sizes = _journal_sizes(StudyCrawler(population).start(), path)
+    blob = path.read_bytes()
+    middle = bytearray(blob)
+    middle[(sizes[2] + sizes[3]) // 2] ^= 0xFF
+    path.write_bytes(bytes(middle))
+    with pytest.raises(CheckpointError, match="digest mismatch"):
+        CrawlSession.load(str(path), population)
+    # The same flip in the last record reads as a torn append instead.
+    last = bytearray(blob)
+    last[(sizes[-2] + sizes[-1]) // 2] ^= 0xFF
+    path.write_bytes(bytes(last))
+    resumed = CrawlSession.load(str(path), population)
+    assert resumed.crawled_count == _CONFIG["n_sites"] - 1
+
+
+def test_journal_damaged_length_field_is_not_a_torn_record(tmp_path):
+    """A middle record whose length field runs past the end of the file
+    is damage, not a torn append: it raises rather than dropping that
+    record and every record after it."""
+    population = _population()
+    path = tmp_path / "crawl.ckpt"
+    sizes = _journal_sizes(StudyCrawler(population).start(), path)
+    for record in (2, len(sizes) - 1):      # a middle and the last record
+        damaged = bytearray(path.read_bytes())
+        damaged[sizes[record - 1]] ^= 0x01  # the length's high byte
+        torn = tmp_path / "damaged.ckpt"
+        torn.write_bytes(bytes(damaged))
+        with pytest.raises(CheckpointError,
+                           match="record %d digest mismatch" % record):
+            CrawlSession.load(str(torn), population)
+
+
+def test_resumed_firewall_counts_match_an_uninterrupted_run(tmp_path):
+    from repro.core.tokens import CandidateTokenSet
+    from repro.mitigation import PiiFirewall
+    population = _population()
+    firewall = PiiFirewall(CandidateTokenSet(population.persona))
+
+    def start():
+        firewall.restore_journal_state((0, 0))
+        return StudyCrawler(population, firewall=firewall).start()
+
+    start().run()
+    expected = (firewall.scrubbed_requests, firewall.redactions)
+    assert expected[0] > 0
+    path = str(tmp_path / "crawl.ckpt")
+    session = start()
+    for _ in range(2):          # the snapshot is taken at the first save
+        session.step()
+        session.step()
+        session.save(path)
+    resumed = CrawlSession.load(path, population)
+    resumed.run()
+    scrubbing = resumed.browser.firewall
+    assert scrubbing is not firewall
+    assert (scrubbing.scrubbed_requests, scrubbing.redactions) == expected
+
+
+def test_journal_refuses_a_different_population(tmp_path):
+    path = str(tmp_path / "crawl.ckpt")
+    session = StudyCrawler(_population()).start()
+    session.step()
+    session.save(path)
+    other = generate_population(seed=6, config=GeneratorConfig(**_CONFIG))
+    with pytest.raises(CheckpointError, match="different population"):
+        CrawlSession.load(path, other)
+
+
+def test_finished_session_is_not_checkpointed(tmp_path):
+    session = StudyCrawler(_population()).start()
+    session.run()
+    with pytest.raises(RuntimeError, match="finished session"):
+        session.save(str(tmp_path / "crawl.ckpt"))
 
 
 def test_plain_crawl_without_faults_unchanged():
