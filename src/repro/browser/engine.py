@@ -1,7 +1,7 @@
 """Scripted browser engine.
 
 Drives the synthetic web the way the paper's human operator drove Firefox:
-navigates to pages, parses the returned HTML, fetches every referenced
+navigates to pages, reads the returned HTML, fetches every referenced
 subresource, "executes" tracker snippets via the script engine, fills and
 submits forms, and maintains cookies, storage and referer semantics under
 the active :class:`~repro.browser.profiles.BrowserProfile`.
@@ -218,25 +218,26 @@ class Browser:
     def journal_state(self, domains: Sequence[str]) -> Tuple[object, ...]:
         """This browser's mutable state for a checkpoint record.
 
-        State shared across sites (clock, breakers, the current page)
-        comes whole; state kept per crawled site (tracker storage,
-        consent decisions, captcha readiness) only for ``domains``, the
-        sites crawled since the previous record.  The capture log and
-        the cookie jar are journaled as changes of their own.  The URL
-        memos are left out: a resumed browser starts them empty, which
-        changes which ``Url`` objects are shared, never a value.
+        State shared across sites (clock, the current page) comes
+        whole; state kept per crawled site (tracker storage, consent
+        decisions, captcha readiness) only for ``domains``, the sites
+        crawled since the previous record.  The capture log, the cookie
+        jar and the circuit breakers are journaled as changes of their
+        own.  The URL memos are left out: a resumed browser starts them
+        empty, which changes which ``Url`` objects are shared, never a
+        value.
         """
         def of(per_site: Dict[str, object]) -> Dict[str, object]:
             return {domain: per_site[domain] for domain in domains
                     if domain in per_site}
 
-        return (self.clock, self.breaker, self.last_failure,
-                self._current_url, self._page_pii, of(self.tracker_storage),
+        return (self.clock, self.last_failure, self._current_url,
+                self._page_pii, of(self.tracker_storage),
                 of(self._consent_decisions), of(self._captcha_ready))
 
     def restore_journal_state(self, state: Tuple[object, ...]) -> None:
         """Adopt state from :meth:`journal_state`."""
-        (self.clock, self.breaker, self.last_failure, self._current_url,
+        (self.clock, self.last_failure, self._current_url,
          self._page_pii, storage, consent, captcha) = state
         self.tracker_storage.update(storage)
         self._consent_decisions.update(consent)
@@ -255,11 +256,17 @@ class Browser:
         if response is None or response.status != 200:
             status = response.status if response else 0
             return PageResult(url=final_url, status=status, page=None)
+        # The page the server rendered the body from comes off the
+        # response, which the capture log keeps: only HTML that arrives
+        # without one (a replayed or unpickled response) is parsed.
+        page = response.page
+        response.page = None
         html = response.body.decode("utf-8", errors="replace")
         if not response.headers.get("Content-Type", "").startswith("text/html"):
             return PageResult(url=final_url, status=200, page=None, html=html)
         self._current_url = final_url
-        page = parse_page(html)
+        if page is None:
+            page = parse_page(html)
         self._process_page(site, page, final_url, stage)
         return PageResult(url=final_url, status=200, page=page, html=html)
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
+
+from ..netsim.stamps import ChangeStamps
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,11 @@ class CircuitBreakerRegistry:
     an origin that keeps *answering* — even with 5xx — is degraded, not
     dead.  Once open, a breaker stays open for the rest of the crawl; the
     origin is quarantined and every further exchange is skipped.
+
+    For checkpoint journals the registry stamps every origin it records
+    with a change counter, as :class:`~repro.netsim.CookieJar` does, so
+    :meth:`journal_changes` hands out just the origins recorded since an
+    earlier :attr:`journal_version`.
     """
 
     def __init__(self, threshold: int = 3) -> None:
@@ -72,15 +79,18 @@ class CircuitBreakerRegistry:
         self.threshold = threshold
         self._consecutive: Dict[str, int] = {}
         self._open: Set[str] = set()
+        self._changes: ChangeStamps[str] = ChangeStamps()
 
     def record_failure(self, origin: str) -> None:
         count = self._consecutive.get(origin, 0) + 1
         self._consecutive[origin] = count
         if count >= self.threshold:
             self._open.add(origin)
+        self._changes.stamp(origin)
 
     def record_success(self, origin: str) -> None:
         self._consecutive[origin] = 0
+        self._changes.stamp(origin)
 
     def is_open(self, origin: str) -> bool:
         return origin in self._open
@@ -88,3 +98,28 @@ class CircuitBreakerRegistry:
     def open_origins(self) -> List[str]:
         """Quarantined origins, sorted for stable reporting."""
         return sorted(self._open)
+
+    # -- checkpoint journal ---------------------------------------------
+
+    @property
+    def journal_version(self) -> int:
+        """A counter that every recorded success or failure advances."""
+        return self._changes.version
+
+    def journal_changes(self, since: Optional[int] = None
+                        ) -> List[Tuple[str, int, bool]]:
+        """``(origin, consecutive failures, open)`` for each origin
+        recorded after version ``since`` (every origin with
+        ``since=None``), for a checkpoint record."""
+        origins: Iterable[str] = (self._consecutive if since is None
+                                  else self._changes.changed_since(since))
+        return [(origin, self._consecutive[origin], origin in self._open)
+                for origin in origins]
+
+    def apply_journal_changes(
+            self, changes: List[Tuple[str, int, bool]]) -> None:
+        """Adopt origins from :meth:`journal_changes`."""
+        for origin, count, is_open in changes:
+            self._consecutive[origin] = count
+            if is_open:
+                self._open.add(origin)

@@ -47,7 +47,10 @@ from typing import List, Tuple
 #: version-4 pickle holds each one's ``__dict__``.
 #: Version 6: an append-only journal of framed records replaces the one
 #: pickle of the whole session.
-CHECKPOINT_MAGIC = b"repro-crawl-checkpoint:6\n"
+#: Version 7: a record holds only the fault-plan counters and streaks and
+#: the circuit-breaker origins changed since the previous record, where a
+#: version-6 record repeats them all.
+CHECKPOINT_MAGIC = b"repro-crawl-checkpoint:7\n"
 
 #: Payload length prefix of every frame: one big-endian u64.
 _LENGTH_STRUCT = struct.Struct(">Q")

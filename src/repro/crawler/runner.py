@@ -82,14 +82,17 @@ def population_digest(population: Population,
 class _JournalMark:
     """How much of a session its checkpoint journal at ``path`` holds:
     the journal's length, how many items of each append-only collection
-    it has, and the cookie jar's ``journal_version`` at the last save
-    (``None``: none yet, so the jar goes in whole)."""
+    it has, and the ``journal_version`` of the cookie jar, the fault
+    plan and the circuit breakers at the last save (``None``: none yet,
+    so each goes in whole)."""
 
     path: str
     end: int = 0
     sites: int = 0
     entries: int = 0
     cookies: Optional[int] = None
+    fault_plan: Optional[int] = None
+    breaker: Optional[int] = None
     messages: int = 0
     events: int = 0
     spans: int = 0
@@ -109,6 +112,7 @@ class _JournalRecord(NamedTuple):
     browser: Tuple[object, ...]
     server: Tuple[object, ...]
     fault_plan: Optional[Tuple[object, ...]]
+    breaker: Optional[list]
     firewall: object
     recorder: Optional[Tuple[object, ...]]
 
@@ -402,6 +406,7 @@ class CrawlSession:
         domains = [site.domain
                    for site in self._sites[mark.sites:self._next_index]]
         plan = self.fault_plan
+        breaker = self.browser.breaker
         recorder = self.recorder
         return _JournalRecord(
             next_index=self._next_index,
@@ -413,7 +418,10 @@ class CrawlSession:
             cookies=self.browser.jar.journal_changes(mark.cookies),
             browser=self.browser.journal_state(domains),
             server=self.server.journal_state(domains),
-            fault_plan=None if plan is None else plan.journal_state(),
+            fault_plan=(None if plan is None
+                        else plan.journal_changes(mark.fault_plan)),
+            breaker=(None if breaker is None
+                     else breaker.journal_changes(mark.breaker)),
             firewall=_firewall_state(self.browser.firewall),
             recorder=((recorder.metrics, recorder.clock)
                       if recorder.enabled else None))
@@ -427,7 +435,9 @@ class CrawlSession:
             self.mailbox.deliver(message)
         if self.fault_plan is not None:
             self.fault_plan.events.extend(record.fault_events)
-            self.fault_plan.restore_journal_state(record.fault_plan)
+            self.fault_plan.apply_journal_changes(record.fault_plan)
+        if record.breaker is not None:
+            self.browser.breaker.apply_journal_changes(record.breaker)
         self._span_target().extend(record.spans)
         self.browser.jar.apply_journal_changes(record.cookies)
         self.browser.restore_journal_state(record.browser)
@@ -439,10 +449,13 @@ class CrawlSession:
 
     def _mark(self, path: str, end: int) -> _JournalMark:
         plan = self.fault_plan
+        breaker = self.browser.breaker
         return _JournalMark(
             path=path, end=end, sites=self._next_index,
             entries=len(self.browser.log.entries),
             cookies=self.browser.jar.journal_version,
+            fault_plan=None if plan is None else plan.journal_version,
+            breaker=None if breaker is None else breaker.journal_version,
             messages=len(self.mailbox),
             events=0 if plan is None else len(plan.events),
             spans=len(self._span_target()))

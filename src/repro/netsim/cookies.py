@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from .stamps import ChangeStamps
 from .url import Url
 
 #: A stored cookie's identity: (partition, domain, path, name).
@@ -133,11 +134,9 @@ class CookieJar:
         self._sequence = 0
         # rendered Cookie header value -> its one shared string
         self._headers: Dict[str, str] = {}
-        # stored key -> journal_version of its last change (keys new
-        # since a version come in the order they were stored), and the
-        # version of the last removal
-        self._stamps: Dict[_Key, int] = {}
-        self._version = 0
+        # changes to stored keys (keys new since a version come in the
+        # order they were stored), and the version of the last removal
+        self._changes: ChangeStamps[_Key] = ChangeStamps()
         self._removed_at = 0
         for key in self._cookies:
             self._add_to_index(key)
@@ -162,8 +161,7 @@ class CookieJar:
         else:
             self._add_to_index(key)
         self._cookies[key] = cookie
-        self._version += 1
-        self._stamps[key] = self._version
+        self._changes.stamp(key)
 
     def set_from_header(self, header_value: str, request_url: Url,
                         now: float = 0.0, partition: str = "") -> Optional[Cookie]:
@@ -231,7 +229,7 @@ class CookieJar:
                    if cookie.is_expired(now)]
         for key in expired:
             del self._cookies[key]
-            self._stamps.pop(key, None)
+            self._changes.discard(key)
             bucket = self._index[key[:2]]
             del bucket[key]
             if not bucket:
@@ -244,19 +242,18 @@ class CookieJar:
         """Empty the jar (fresh browser profile)."""
         self._cookies.clear()
         self._index.clear()
-        self._stamps.clear()
+        self._changes.clear()
         self._removed()
 
     def _removed(self) -> None:
-        self._version += 1
-        self._removed_at = self._version
+        self._removed_at = self._changes.advance()
 
     # -- checkpoint journal ---------------------------------------------
 
     @property
     def journal_version(self) -> int:
         """A counter that every change to the jar advances."""
-        return self._version
+        return self._changes.version
 
     def journal_changes(self, since: Optional[int] = None
                         ) -> Tuple[bool, List[Tuple[_Key, Cookie]]]:
@@ -267,8 +264,7 @@ class CookieJar:
         if since is None or self._removed_at > since:
             return True, list(self._cookies.items())
         return False, [(key, self._cookies[key])
-                       for key, stamp in self._stamps.items()
-                       if stamp > since]
+                       for key in self._changes.changed_since(since)]
 
     def apply_journal_changes(
             self, changes: Tuple[bool, List[Tuple[_Key, Cookie]]]) -> None:

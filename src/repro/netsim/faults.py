@@ -36,6 +36,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from .stamps import ChangeStamps
+
 # Fault kinds.
 FAULT_TIMEOUT = "timeout"            # connect/read timeout
 FAULT_RESET = "reset"                # connection reset by peer
@@ -58,6 +60,9 @@ TRANSIENT_FAULT_KINDS = (
 
 #: HTTP statuses a resilient client treats as retryable.
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
+
+#: The namespace streak changes are stamped under; no counter uses it.
+_STREAK = "streak"
 
 _HTTP_FAULT_STATUS = {
     FAULT_HTTP_429: 429,
@@ -144,6 +149,9 @@ class FaultPlan:
         #: DNS and HTTP gates (the convergence contract's streak counter).
         self._streaks: Dict[str, int] = {}
         self.events: List[FaultEvent] = []
+        #: Changes to counters, stamped by their (namespace, key) slot,
+        #: and to streaks, stamped as (_STREAK, key).
+        self._changes: ChangeStamps[Tuple[str, str]] = ChangeStamps()
 
     # -- decisions -------------------------------------------------------
 
@@ -169,17 +177,17 @@ class FaultPlan:
         if streak >= self.max_consecutive:
             # Forced pass-through: bounds every fault burst so retrying
             # clients provably converge (see module docstring).
-            self._streaks[origin] = 0
+            self._set_streak(origin, 0)
             return None
         if (self.transient_rate > 0.0
                 and self._ratio("http", origin, seq) < self.transient_rate):
             kind = TRANSIENT_FAULT_KINDS[
                 int(self._ratio("http:kind", origin, seq)
                     * len(TRANSIENT_FAULT_KINDS))]
-            self._streaks[origin] = streak + 1
+            self._set_streak(origin, streak + 1)
             self.events.append(FaultEvent(origin, kind, seq))
             return kind
-        self._streaks[origin] = 0
+        self._set_streak(origin, 0)
         return None
 
     def next_dns_fault(self, host: str,
@@ -198,24 +206,43 @@ class FaultPlan:
             return None
         if (self.dns_rate > 0.0
                 and self._ratio("dns", key, seq) < self.dns_rate):
-            self._streaks[key] = streak + 1
+            self._set_streak(key, streak + 1)
             self.events.append(FaultEvent(key, FAULT_DNS, seq))
             return FAULT_DNS
         return None
 
     # -- lifecycle -------------------------------------------------------
 
-    def journal_state(self) -> Tuple[Dict[Tuple[str, str], int],
-                                     Dict[str, int]]:
-        """The per-origin counters and streaks, for a checkpoint record
-        (the event log is journaled as appended events)."""
-        return self._counters, self._streaks
+    @property
+    def journal_version(self) -> int:
+        """A counter that every change to a counter or streak advances."""
+        return self._changes.version
 
-    def restore_journal_state(
-            self, state: Tuple[Dict[Tuple[str, str], int],
-                               Dict[str, int]]) -> None:
-        """Adopt counters and streaks from :meth:`journal_state`."""
-        self._counters, self._streaks = state
+    def journal_changes(self, since: Optional[int] = None
+                        ) -> Tuple[Dict[Tuple[str, str], int],
+                                   Dict[str, int]]:
+        """The per-origin counters and streaks changed after version
+        ``since`` (all of them with ``since=None``), for a checkpoint
+        record (the event log is journaled as appended events)."""
+        if since is None:
+            return dict(self._counters), dict(self._streaks)
+        counters: Dict[Tuple[str, str], int] = {}
+        streaks: Dict[str, int] = {}
+        for slot in self._changes.changed_since(since):
+            namespace, key = slot
+            if namespace == _STREAK:
+                streaks[key] = self._streaks[key]
+            else:
+                counters[slot] = self._counters[slot]
+        return counters, streaks
+
+    def apply_journal_changes(
+            self, changes: Tuple[Dict[Tuple[str, str], int],
+                                 Dict[str, int]]) -> None:
+        """Adopt counters and streaks from :meth:`journal_changes`."""
+        counters, streaks = changes
+        self._counters.update(counters)
+        self._streaks.update(streaks)
 
     def fresh_copy(self) -> "FaultPlan":
         """A new plan with this plan's configuration and zero history.
@@ -252,7 +279,12 @@ class FaultPlan:
         slot = (namespace, key)
         seq = self._counters.get(slot, 0)
         self._counters[slot] = seq + 1
+        self._changes.stamp(slot)
         return seq
+
+    def _set_streak(self, key: str, streak: int) -> None:
+        self._streaks[key] = streak
+        self._changes.stamp((_STREAK, key))
 
     def _ratio(self, namespace: str, key: str, n: int) -> float:
         """Deterministic uniform draw in [0, 1)."""

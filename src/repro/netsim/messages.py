@@ -97,9 +97,15 @@ class HttpResponse:
     ``latency_seconds`` is how long a slow origin took to answer (set by
     fault injection, else None).  It is a slot but not a dataclass
     field, so ``repr`` and ``==`` do not see it; a pickle carries it.
+
+    ``page`` is the :class:`~repro.websim.html.ParsedPage` the synthetic
+    web's server rendered ``body`` from, else None.  The browser takes
+    it off the response in place of parsing the body.  It is a slot but
+    not a dataclass field, and no pickle carries it: the capture log
+    keeps only what a real browser would have received, the bytes.
     """
 
-    __slots__ = ("status", "headers", "body", "latency_seconds")
+    __slots__ = ("status", "headers", "body", "latency_seconds", "page")
 
     status: int
     headers: Headers
@@ -107,11 +113,13 @@ class HttpResponse:
 
     def __init__(self, status: int = 200, headers: Optional[Headers] = None,
                  body: bytes = b"",
-                 latency_seconds: Optional[float] = None) -> None:
+                 latency_seconds: Optional[float] = None,
+                 page: Optional[object] = None) -> None:
         self.status = status
         self.headers = Headers() if headers is None else headers
         self.body = body
         self.latency_seconds = latency_seconds
+        self.page = page
 
     def __reduce__(self) -> Tuple[type, Tuple[object, ...]]:
         return (HttpResponse, (self.status, self.headers, self.body,

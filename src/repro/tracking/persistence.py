@@ -64,34 +64,38 @@ class PersistenceAnalyzer:
         Table 2 itself lists providers accepting several encoding forms in
         one parameter (criteo's ``p0``).
         """
+        # Who sent each surface form, per (receiver, parameter): one pass.
+        form_senders: Dict[Tuple[str, str], Dict[str, Set[str]]] = {}
+        for event in self.events:
+            form_senders.setdefault(
+                (event.receiver, event.parameter), {}).setdefault(
+                    event.surface_form, set()).add(event.sender)
         result: Set[str] = set()
         for parameter in self.trackids.parameters():
             if parameter.sender_count < 2:
                 continue
             # The same underlying PII surface form from >= 2 senders.
-            form_senders: Dict[str, Set[str]] = {}
-            for event in self.events:
-                if event.receiver != parameter.receiver:
-                    continue
-                if event.parameter != parameter.parameter:
-                    continue
-                form_senders.setdefault(event.surface_form,
-                                        set()).add(event.sender)
-            if any(len(senders) >= 2 for senders in form_senders.values()):
+            forms = form_senders.get((parameter.receiver,
+                                      parameter.parameter), {})
+            if any(len(senders) >= 2 for senders in forms.values()):
                 result.add(parameter.receiver)
         return sorted(result)
 
     def persistent_receivers(self) -> List[str]:
         """Cross-site receivers whose ID also appears on subpages."""
-        cross_site = set(self.cross_site_receivers())
+        return self._persistent(self.cross_site_receivers())
+
+    def _persistent(self, cross_site: Sequence[str]) -> List[str]:
         subpage_receivers = {
             event.receiver for event in self.events
             if event.stage == STAGE_SUBPAGE and event.parameter}
-        return sorted(cross_site & subpage_receivers)
+        return sorted(set(cross_site) & subpage_receivers)
 
     def table2(self) -> List[Table2Row]:
         """Table 2: per-provider breakdown by (method, encoding) group."""
-        persistent = self.persistent_receivers()
+        return self._table2(self.persistent_receivers())
+
+    def _table2(self, persistent: Sequence[str]) -> List[Table2Row]:
         rows: List[Table2Row] = []
         for receiver in persistent:
             groups: Dict[Tuple[str, str], Dict[str, Set[str]]] = {}
@@ -118,7 +122,10 @@ class PersistenceAnalyzer:
         return rows
 
     def report(self) -> PersistenceReport:
+        """The whole funnel, with one cross-site pass."""
+        cross_site = self.cross_site_receivers()
+        persistent = self._persistent(cross_site)
         return PersistenceReport(
-            cross_site_receivers=tuple(self.cross_site_receivers()),
-            persistent_receivers=tuple(self.persistent_receivers()),
-            rows=tuple(self.table2()))
+            cross_site_receivers=tuple(cross_site),
+            persistent_receivers=tuple(persistent),
+            rows=tuple(self._table2(persistent)))

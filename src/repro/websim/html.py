@@ -1,11 +1,16 @@
 """Minimal HTML generation and parsing.
 
-The synthetic web serves real HTML documents and the browser engine
-discovers resources and forms by *parsing* them — the same shape as a real
-crawler — rather than passing structured objects around behind the page's
-back.  The dialect is the subset shop pages in this simulation emit:
-``script``/``img``/``link``/``iframe`` resource tags and ``form`` elements
-with ``input``/``select`` fields.
+The synthetic web serves real HTML documents.  Its server writes each
+page with a :class:`PageWriter`, which records beside the markup the
+:class:`ParsedPage` that :func:`parse_page` reads back from it, and hands
+that model to the browser with the response
+(:attr:`~repro.netsim.HttpResponse.page`): a crawl does not parse the
+HTML its own server rendered a moment earlier.  :func:`parse_page` reads
+HTML that arrives without a model, such as a replayed or unpickled
+response, and is the oracle the tests hold every served model to.  The
+dialect is the subset shop pages in this simulation emit:
+``script``/``img``/``link``/``iframe`` resource tags, ``a`` links, and
+``form`` elements with ``input`` fields.
 
 Tracker snippets carry a ``data-tracker`` attribute naming the service that
 owns them; the browser's script engine uses it to look up the service's
@@ -77,7 +82,8 @@ class ParsedPage:
     anchors: List[Tag] = field(default_factory=list)
 
     def resource_tags(self) -> List[Tuple[str, Tag]]:
-        """(resource_type, tag) pairs in document order categories."""
+        """(resource_type, tag) pairs grouped by category: scripts,
+        images, stylesheets, then iframes, each in document order."""
         out: List[Tuple[str, Tag]] = []
         out.extend(("script", tag) for tag in self.scripts)
         out.extend(("image", tag) for tag in self.images)
@@ -202,3 +208,56 @@ def render_form(action: str, method: str, form_id: str,
     lines.append('  <input type="submit" value="Submit">')
     lines.append("</form>")
     return "\n    ".join(lines)
+
+
+#: The submit button :func:`render_form` closes every form with, as a
+#: parsed ``(name, type, value)`` field.
+_SUBMIT_FIELD = ("", "submit", "Submit")
+
+
+def _fresh(text: str) -> str:
+    """A new string equal to ``text``, as a parse slices one out of the
+    markup.  A submitted form keeps its action and field strings in the
+    request URL, so strings shared by every page would be pickled once
+    per shard result or checkpoint record instead of once per request,
+    and those bytes would differ from a parsed page's."""
+    return text[:1] + text[1:]
+
+
+class PageWriter:
+    """Writes a document and, beside it, the :class:`ParsedPage` that
+    :func:`parse_page` reads back from the document.
+
+    Each element goes into the markup and into the model in one call, so
+    the model is the parse of the document by construction, without a
+    parse.  The document is a heading, then links and forms, then
+    resource tags, in the order they are written.
+    """
+
+    __slots__ = ("parts", "page")
+
+    def __init__(self, heading: str) -> None:
+        self.parts = ["<h1>%s</h1>" % _escape(heading)]
+        self.page = ParsedPage()
+
+    def link(self, href: str, text: str) -> None:
+        self.parts.append('<a href="%s">%s</a>' % (_escape(href),
+                                                   _escape(text)))
+        self.page.anchors.append(Tag(name="a", attrs={"href": href}))
+
+    def form(self, action: str, method: str, form_id: str,
+             fields: List[Tuple[str, str, str]]) -> None:
+        self.parts.append(render_form(action, method, form_id, fields))
+        parsed = [(_fresh(name), kind, _fresh(value or ""))
+                  for name, kind, value in fields]
+        parsed.append(_SUBMIT_FIELD)
+        self.page.forms.append(ParsedForm(action=_fresh(action),
+                                          method=method.upper(),
+                                          form_id=form_id, fields=parsed))
+
+    def script(self, attrs: Dict[str, str]) -> None:
+        self.parts.append(render_tag("script", attrs))
+        self.page.scripts.append(Tag(name="script", attrs=attrs))
+
+    def document(self, title: str) -> str:
+        return render_document(title, self.parts)

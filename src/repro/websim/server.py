@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..netsim import Headers, HttpRequest, HttpResponse
 from ..psl import default_list
-from .html import render_document, render_form, render_tag
+from .html import PageWriter
 from .site import (
     PAGE_ACCOUNT,
     PAGE_HOME,
@@ -40,6 +40,14 @@ ACCOUNT_ACTIVE = "active"
 
 #: Callback signature for confirmation mail: (site_domain, email, url).
 MailHook = Callable[[str, str, str], None]
+
+#: (href, text) links on the home page, and on the pages that lead back
+#: to the account.
+_HOME_LINKS = ((PAGE_PATHS[PAGE_SIGNUP], "Create account"),
+               (PAGE_PATHS[PAGE_SIGNIN], "Sign in"),
+               (PAGE_PATHS[PAGE_PRODUCT], "Aurora Lamp"),
+               ("/privacy", "Privacy policy"))
+_ACCOUNT_LINKS = (("/account", "Your account"),)
 
 
 @dataclass
@@ -119,87 +127,70 @@ class WebServer:
     def _site_response(self, site: Website, request: HttpRequest) -> HttpResponse:
         path = request.url.path
         if path == PAGE_PATHS[PAGE_HOME]:
-            return self._page(site, "Home", self._home_body(site))
+            return self._page(site, "Home", site.domain, _HOME_LINKS)
         if path == PAGE_PATHS[PAGE_SIGNUP]:
             if not site.auth.has_auth:
                 return HttpResponse(status=404, body=b"not found")
-            return self._page(site, "Create account",
-                              self._signup_body(site))
+            return self._page(site, "Create account", "Create your account",
+                              form=signup_form(site))
         if path == "/account/register/submit":
             return self._handle_signup_submit(site, request)
         if path == "/account/register/welcome":
-            return self._page(site, "Welcome",
-                              ["<h1>Account created</h1>",
-                               '<a href="/account">Your account</a>'])
+            return self._page(site, "Welcome", "Account created",
+                              _ACCOUNT_LINKS)
         if path == "/account/confirm":
             return self._handle_confirm(site, request)
         if path == PAGE_PATHS[PAGE_SIGNIN]:
             if not site.auth.has_auth:
                 return HttpResponse(status=404, body=b"not found")
-            return self._page(site, "Sign in", self._signin_body(site))
+            return self._page(site, "Sign in", "Sign in",
+                              form=signin_form(site))
         if path == "/account/login/submit":
             return self._handle_signin_submit(site, request)
         if path == PAGE_PATHS[PAGE_ACCOUNT]:
-            return self._page(site, "Your account",
-                              ["<h1>Welcome back</h1>"])
+            return self._page(site, "Your account", "Welcome back")
         if path == PAGE_PATHS[PAGE_PRODUCT]:
-            return self._page(site, "Aurora Lamp",
-                              ["<h1>Aurora Lamp</h1>",
-                               '<a href="/account">Account</a>'])
+            return self._page(site, "Aurora Lamp", "Aurora Lamp",
+                              (("/account", "Account"),))
         if path == "/privacy":
             return HttpResponse(status=200, body=b"(privacy policy page)")
         return HttpResponse(status=404, body=b"not found")
 
-    def _embed_tags(self, site: Website) -> List[str]:
-        tags = []
+    def _page(self, site: Website, title: str, heading: str,
+              links: Sequence[Tuple[str, str]] = (),
+              form: Optional[FormSpec] = None) -> HttpResponse:
+        """A first-party page: ``heading``, then ``links`` (href, text)
+        or ``form``, then the site's consent, tracker and captcha
+        scripts.  The response carries the parsed page beside the bytes
+        (see :class:`~repro.websim.html.PageWriter`)."""
+        writer = PageWriter(heading)
+        for href, text in links:
+            writer.link(href, text)
+        if form is not None:
+            writer.form(form.action, form.method, form.form_id,
+                        [(f.name, f.kind, f.value) for f in form.fields])
         if site.consent is not None:
-            tags.append(render_tag("script", {
+            writer.script({
                 "src": "https://%s%s" % (site.consent.script_host,
                                          site.consent.script_path),
-                "data-cmp": site.consent.provider}))
+                "data-cmp": site.consent.provider})
         for embed in site.embeds:
             service = embed.service
-            script_url = "https://%s%s" % (service.script_host,
-                                           service.script_path)
-            tags.append(render_tag("script", {
-                "src": script_url, "data-tracker": service.domain}))
+            writer.script({
+                "src": "https://%s%s" % (service.script_host,
+                                         service.script_path),
+                "data-tracker": service.domain})
         if site.auth.captcha_blocks_brave:
-            tags.append(render_tag("script", {
+            writer.script({
                 "src": "https://ct.%s/challenge.js" % CAPTCHA_PROVIDER,
-                "data-captcha": "1"}))
-        return tags
-
-    def _page(self, site: Website, title: str,
-              body_parts: List[str]) -> HttpResponse:
-        body = render_document("%s - %s" % (site.domain, title),
-                               body_parts + self._embed_tags(site))
+                "data-captcha": "1"})
+        body = writer.document("%s - %s" % (site.domain, title))
         headers = Headers([("Content-Type", "text/html; charset=utf-8")])
         headers.add("Set-Cookie",
                     "session=%s; Path=/; Max-Age=86400"
                     % _session_token(site.domain))
         return HttpResponse(status=200, headers=headers,
-                            body=body.encode("utf-8"))
-
-    def _home_body(self, site: Website) -> List[str]:
-        return [
-            "<h1>%s</h1>" % site.domain,
-            '<a href="%s">Create account</a>' % PAGE_PATHS[PAGE_SIGNUP],
-            '<a href="%s">Sign in</a>' % PAGE_PATHS[PAGE_SIGNIN],
-            '<a href="%s">Aurora Lamp</a>' % PAGE_PATHS[PAGE_PRODUCT],
-            '<a href="/privacy">Privacy policy</a>',
-        ]
-
-    def _form_html(self, form: FormSpec) -> str:
-        fields = [(f.name, f.kind, f.value) for f in form.fields]
-        return render_form(form.action, form.method, form.form_id, fields)
-
-    def _signup_body(self, site: Website) -> List[str]:
-        parts = ["<h1>Create your account</h1>",
-                 self._form_html(signup_form(site))]
-        return parts
-
-    def _signin_body(self, site: Website) -> List[str]:
-        return ["<h1>Sign in</h1>", self._form_html(signin_form(site))]
+                            body=body.encode("utf-8"), page=writer.page)
 
     # -- auth endpoints --------------------------------------------------
 
@@ -233,17 +224,14 @@ class WebServer:
                 site.https_origin, token)
             if self.mail_hook is not None:
                 self.mail_hook(site.domain, email, confirm_url)
-            return self._page(site, "Confirm your email",
-                              ["<h1>Check your inbox</h1>"])
+            return self._page(site, "Confirm your email", "Check your inbox")
         site_accounts[email] = ACCOUNT_ACTIVE
         if request.method == "POST":
             # POST-redirect-GET, as well-built sites do.  GET forms (the
             # accidental-leak sites) land directly on the result page so
             # the PII-bearing URL stays the document location.
             return _redirect("/account/register/welcome")
-        return self._page(site, "Welcome",
-                          ["<h1>Account created</h1>",
-                           '<a href="/account">Your account</a>'])
+        return self._page(site, "Welcome", "Account created", _ACCOUNT_LINKS)
 
     def _handle_confirm(self, site: Website,
                         request: HttpRequest) -> HttpResponse:
@@ -253,7 +241,7 @@ class WebServer:
         if email is not None and site_accounts.get(email) == ACCOUNT_PENDING:
             site_accounts[email] = ACCOUNT_ACTIVE
             return self._page(site, "Email confirmed",
-                              ["<h1>Thanks, you are verified</h1>"])
+                              "Thanks, you are verified")
         return HttpResponse(status=400, body=b"invalid confirmation")
 
     def _handle_signin_submit(self, site: Website,
@@ -263,9 +251,7 @@ class WebServer:
         state = self.accounts.get(site.domain, {}).get(email)
         if state != ACCOUNT_ACTIVE:
             return HttpResponse(status=401, body=b"unknown or pending account")
-        return self._page(site, "Signed in",
-                          ["<h1>Signed in</h1>",
-                           '<a href="/account">Your account</a>'])
+        return self._page(site, "Signed in", "Signed in", _ACCOUNT_LINKS)
 
     # -- third-party endpoints --------------------------------------------
 

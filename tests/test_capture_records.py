@@ -208,6 +208,116 @@ def test_slow_response_keeps_its_latency_through_a_pickle_round_trip():
         "fault:%s" % FAULT_SLOW]
 
 
+def test_the_page_model_is_not_a_field_and_no_pickle_carries_it():
+    response = _slow_response()
+    assert response.page is not None
+    assert "page" not in {f.name for f in dataclasses.fields(HttpResponse)}
+    clone = pickle.loads(pickle.dumps(response,
+                                      protocol=pickle.HIGHEST_PROTOCOL))
+    assert clone == response
+    assert clone.page is None
+    assert HttpResponse().page is None
+
+
+def _count_parses(monkeypatch):
+    """Count the browser's calls of ``parse_page``."""
+    from repro.browser import engine
+    calls = []
+    parse = engine.parse_page
+
+    def counting(html):
+        calls.append(html)
+        return parse(html)
+
+    monkeypatch.setattr(engine, "parse_page", counting)
+    return calls
+
+
+def test_no_captured_response_keeps_its_page_model(monkeypatch):
+    parses = _count_parses(monkeypatch)
+    population = generate_population(seed=404, config=GeneratorConfig(
+        n_sites=404, n_trackers=20, leak_probability=0.5,
+        confirmation_probability=0.2))
+    log = StudyCrawler(population).crawl().log
+    assert parses == []
+    assert all(entry.response.page is None for entry in log
+               if entry.response is not None)
+
+
+def test_no_captured_response_of_a_faulted_job_keeps_its_page_model(
+        monkeypatch):
+    from repro.netsim import CaptureLog
+    from repro.service import JobRun, JobSpec
+    from repro.service.jobs import STATE_COMPLETE
+    entries = []
+    record = CaptureLog.record
+
+    def keeping(self, entry):
+        entries.append(entry)
+        return record(self, entry)
+
+    monkeypatch.setattr(CaptureLog, "record", keeping)
+    spec = JobSpec.from_dict({"seed": 404, "sites": 24, "fault_rate": 0.05,
+                              "fault_seed": 3})
+    assert JobRun(spec).execute().state == STATE_COMPLETE
+    # The in-process job hit slow origins too: their answers, models
+    # and all, were dropped with the timeout.
+    assert "fault:%s" % FAULT_SLOW in {entry.blocked_by
+                                       for entry in entries}
+    assert any(entry.response is not None for entry in entries)
+    assert all(entry.response.page is None for entry in entries
+               if entry.response is not None)
+
+
+def test_a_page_without_its_model_is_parsed_and_crawled_the_same(
+        monkeypatch):
+    """Every response goes through a pickle, as a replayed one would:
+    the browser parses each page and sends the very same requests."""
+    population = generate_population(seed=5, config=GeneratorConfig(
+        n_sites=8, n_trackers=4, leak_probability=0.6,
+        confirmation_probability=0.4))
+    served = StudyCrawler(population).start().run().log.entries
+    handle = WebServer.handle
+
+    def replayed(self, request):
+        return pickle.loads(pickle.dumps(handle(self, request)))
+
+    parses = _count_parses(monkeypatch)
+    monkeypatch.setattr(WebServer, "handle", replayed)
+    population = generate_population(seed=5, config=GeneratorConfig(
+        n_sites=8, n_trackers=4, leak_probability=0.6,
+        confirmation_probability=0.4))
+    parsed = StudyCrawler(population).start().run().log.entries
+    assert len(parses) == sum(
+        1 for entry in served if entry.response is not None
+        and entry.response.headers.get("Content-Type", "").startswith(
+            "text/html"))
+    assert parses
+    assert parsed == served
+
+
+def test_a_page_model_changes_no_pickled_byte(monkeypatch):
+    """A crawl that parses every page pickles its capture log to the
+    very bytes of one handed the models: a model shares no string
+    across pages where a parse would have made a copy per page, so
+    shard results and checkpoint records keep their bytes too."""
+    modelled = pickle.dumps(_crawl_entries(),
+                            protocol=pickle.HIGHEST_PROTOCOL)
+    handle = WebServer.handle
+
+    def without_model(self, request):
+        response = handle(self, request)
+        response.page = None
+        return response
+
+    parses = _count_parses(monkeypatch)
+    monkeypatch.setattr(WebServer, "handle", without_model)
+    parsed = pickle.dumps(_crawl_entries(),
+                          protocol=pickle.HIGHEST_PROTOCOL)
+    assert parses
+    assert parsed == modelled
+
+
 #: Pickled bytes per capture entry of the 8-site crawl below.  The
 #: slotted records pickle to 307.6 bytes per entry; the ``__dict__``-backed
 #: dataclasses they replaced took 398.3.  The ceiling leaves 7% headroom.

@@ -1,6 +1,7 @@
 """Parallel sharded crawling: fingerprint invariance, sharding, resume."""
 
 import os
+import pickle
 
 import pytest
 
@@ -94,6 +95,33 @@ def test_parallel_fingerprint_equals_serial_fingerprint(seed):
         assert _fingerprint(seed, workers=workers) == serial
         assert _fingerprint(seed, workers=workers,
                             fault_seed=seed + 100) == serial_faulty
+
+
+#: Pickled bytes of the seed-404 study's eight shard results, as the
+#: supervisor's result queue ships them.  The benchmark suite's traced
+#: ``study-parallel`` reports 5,705,332 as ``ipc.result_bytes``: these
+#: and the resource samples its shards carry besides.
+_SEED_404_SHARD_RESULT_BYTES = 5_704_212
+
+
+def test_seed_404_shard_results_pickle_to_the_pinned_bytes(monkeypatch):
+    from repro.crawler import parallel
+    kept = []
+    merge = parallel.merge_shard_datasets
+
+    def keeping(results, population):
+        kept.extend(results)
+        return merge(results, population)
+
+    monkeypatch.setattr(parallel, "merge_shard_datasets", keeping)
+    spec = GeneratedPopulationSpec(seed=404, config=GeneratorConfig(
+        n_sites=404, n_trackers=20, leak_probability=0.5,
+        confirmation_probability=0.2))
+    crawl = ParallelCrawler(spec, workers=1, num_shards=8).run()
+    assert crawl.dataset.fingerprint().startswith("77abd62213a0f0be")
+    assert len(kept) == 8
+    assert sum(len(pickle.dumps(result)) for result in kept) == \
+        _SEED_404_SHARD_RESULT_BYTES
 
 
 def test_single_shard_engine_matches_legacy_serial_crawl():

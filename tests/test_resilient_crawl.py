@@ -145,12 +145,12 @@ def _assert_header_refused(tmp_path, version):
     path = tmp_path / "crawl.ckpt"
     StudyCrawler(_population()).start().save(str(path))
     blob = path.read_bytes()
-    assert blob.startswith(b"repro-crawl-checkpoint:6\n")
+    assert blob.startswith(b"repro-crawl-checkpoint:7\n")
     old = tmp_path / ("v%d.ckpt" % version)
     old.write_bytes(b"repro-crawl-checkpoint:%d\n" % version
                     + blob[len(CHECKPOINT_MAGIC):])
     with pytest.raises(CheckpointError,
-                       match="is not a version-6 crawl checkpoint "
+                       match="is not a version-7 crawl checkpoint "
                              r"\(bad or outdated header"):
         CrawlSession.load(str(old), _population())
 
@@ -177,6 +177,12 @@ def test_checkpoint_refuses_a_version_5_header(tmp_path):
     """Version-5 checkpoints pickle the whole session, population and
     capture log included; version 6 is an append-only journal."""
     _assert_header_refused(tmp_path, 5)
+
+
+def test_checkpoint_refuses_a_version_6_header(tmp_path):
+    """Version-6 records repeat the whole fault plan and circuit-breaker
+    registry; version 7 journals only what changed since the last one."""
+    _assert_header_refused(tmp_path, 6)
 
 
 def test_checkpoint_save_is_atomic(tmp_path):
@@ -346,6 +352,75 @@ def test_journal_damaged_length_field_is_not_a_torn_record(tmp_path):
         with pytest.raises(CheckpointError,
                            match="record %d digest mismatch" % record):
             CrawlSession.load(str(torn), population)
+
+
+@pytest.mark.parametrize("seed", [3, 21])
+@pytest.mark.parametrize("faults,attempts", [
+    (dict(transient_rate=0.25), 4),
+    (dict(transient_rate=0.1, dead_rate=0.3), 4),
+    # Without retries a fault streak can outlast its site's record.
+    (dict(transient_rate=0.3), 1),
+])
+def test_resume_from_every_record_converges(tmp_path, seed, faults,
+                                            attempts):
+    """Cut the journal after each site's record: every resume finishes
+    to the uninterrupted fingerprint, fault events and quarantines."""
+    def start():
+        return StudyCrawler(_population(),
+                            fault_plan=FaultPlan(seed=seed, **faults),
+                            retry_policy=RetryPolicy(max_attempts=attempts)
+                            ).start()
+
+    full = start().run()
+    path = tmp_path / "crawl.ckpt"
+    session = start()
+    ends = []
+    while not session.done:
+        session.step()
+        session.save(str(path))
+        ends.append(path.stat().st_size)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for crawled, end in enumerate(ends, start=1):
+        cut.write_bytes(blob[:end])
+        resumed = CrawlSession.load(str(cut), _population())
+        assert resumed.crawled_count == crawled
+        dataset = resumed.run()
+        assert dataset.fingerprint() == full.fingerprint(), crawled
+        assert resumed.fault_plan.failure_log() == \
+            session.fault_plan.failure_log(), crawled
+        assert resumed.browser.breaker.open_origins() == \
+            session.browser.breaker.open_origins(), crawled
+
+
+def test_journal_records_of_fault_state_stay_small(tmp_path):
+    """A record journals the fault-plan counters and streaks and the
+    circuit-breaker origins changed since the previous record, so a long
+    faulted crawl's last records are no bigger than its early ones."""
+    import pickle
+
+    from repro.crawler.checkpoint import read_journal
+    population = generate_population(seed=404, config=GeneratorConfig(
+        n_sites=404, n_trackers=20, leak_probability=0.5,
+        confirmation_probability=0.2))
+    session = StudyCrawler(
+        population, fault_plan=FaultPlan(seed=1, transient_rate=0.05),
+        retry_policy=RetryPolicy()).start()
+    path = str(tmp_path / "crawl.ckpt")
+    while not session.done:
+        session.step()
+        session.save(path)
+    records = read_journal(path).records
+    assert len(records) == 404
+
+    def size(value):
+        return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+
+    tenth, last = records[9], records[-1]
+    assert size(last.fault_plan) <= 2 * size(tenth.fault_plan)
+    assert size(last.breaker) <= 2 * size(tenth.breaker)
+    assert CrawlSession.load(path, population).finish().fingerprint() \
+        == session.finish().fingerprint()
 
 
 def test_resumed_firewall_counts_match_an_uninterrupted_run(tmp_path):

@@ -1,5 +1,6 @@
 """Tracking analysis: trackid inference, persistence funnel, cross-device."""
 
+import hashlib
 
 from repro.core import LeakEvent
 from repro.tracking import (
@@ -121,6 +122,18 @@ def test_report_bundle():
     assert report.provider_count == 1
     assert report.cross_site_receivers == ("t.example",)
     assert report.rows
+
+
+# The digest of the §5.2 report on the calibrated crawl, computed with the
+# implementation that scanned every event once per identifier parameter.
+CALIBRATED_PERSISTENCE_DIGEST = (
+    "81b7f1fb040d225c43f83625756e3d0738459ed64a5b2aa66a3b1a3965a92760")
+
+
+def test_persistence_report_matches_the_pinned_digest(events):
+    report = PersistenceAnalyzer(events).report()
+    digest = hashlib.sha256(repr(report).encode()).hexdigest()
+    assert digest == CALIBRATED_PERSISTENCE_DIGEST
 
 
 # -- cross-device matching -----------------------------------------------------------

@@ -8,6 +8,7 @@ from repro.crawler import StudyCrawler
 from repro.websim import html as html_module
 from repro.websim.generator import GeneratorConfig, generate_population
 from repro.websim.html import (
+    PageWriter,
     Tag,
     _iter_tags_with_closers,
     _parse_attrs,
@@ -17,6 +18,8 @@ from repro.websim.html import (
     render_form,
     render_tag,
 )
+from repro.websim.server import WebServer
+from repro.websim.shopping import build_study_population
 
 
 def test_render_and_parse_script_tag():
@@ -246,17 +249,58 @@ def test_tokenizer_edge_cases_match_the_reference(html, monkeypatch):
     assert parse_page(html) == _reference_parse_page(html, monkeypatch)
 
 
+def test_page_writer_model_is_the_parse_of_its_document():
+    writer = PageWriter('A & "B"')
+    writer.link('/next?a=1&b="2"', "<next>")
+    writer.form("/s?x=1&y=2", "get", 'f"1',
+                [("email", "email", ""), ("csrf", "hidden", "t&<k>")])
+    writer.script({"src": "https://t.net/a.js?x=1&y=2",
+                   "data-tracker": "t.net"})
+    html = writer.document("T")
+    assert parse_page(html) == writer.page
+    assert writer.page.forms[0].method == "GET"
+    assert writer.page.forms[0].fields[-1] == ("", "submit", "Submit")
+    assert [tag.get("href") for tag in writer.page.anchors] == [
+        '/next?a=1&b="2"']
+
+
+def _served_pages(population, monkeypatch):
+    """Crawl ``population``; return the (html, page model) pair of every
+    HTML response its server served, as it left the server."""
+    served = []
+    handle = WebServer.handle
+
+    def recording(self, request):
+        response = handle(self, request)
+        if response.headers.get("Content-Type", "").startswith("text/html"):
+            served.append((response.body.decode("utf-8", errors="replace"),
+                           response.page))
+        return response
+
+    with monkeypatch.context() as patch:
+        patch.setattr(WebServer, "handle", recording)
+        StudyCrawler(population).crawl()
+    return served
+
+
 def test_every_served_page_parses_like_the_reference(monkeypatch):
-    population = generate_population(seed=404, config=GeneratorConfig(
+    seed_404 = generate_population(seed=404, config=GeneratorConfig(
         n_sites=404, n_trackers=20, leak_probability=0.5,
         confirmation_probability=0.2))
-    log = StudyCrawler(population).crawl().log
-    pages = {entry.response.body.decode("utf-8", errors="replace")
-             for entry in log.entries
-             if entry.response is not None and entry.response.headers.get(
-                 "Content-Type", "").startswith("text/html")}
-    assert len(pages) > 2000
-    for html in sorted(pages):
-        assert _iter_tags_with_closers(html) == \
-            _reference_tags_with_closers(html)
-        assert parse_page(html) == _reference_parse_page(html, monkeypatch)
+    # Distinct documents: 2,492 of 2,896 served on seed 404, 1,985 of
+    # 2,292 on the calibrated web.
+    calibrated = build_study_population().population
+    for population, more_than in ((seed_404, 2000), (calibrated, 1900)):
+        served = _served_pages(population, monkeypatch)
+        # The model the server hands the browser is the parse of its
+        # bytes.
+        for html, page in served:
+            assert page is not None
+            assert parse_page(html) == page
+        distinct = {html for html, _ in served}
+        assert len(distinct) > more_than
+        for html in sorted(distinct):
+            assert _iter_tags_with_closers(html) == \
+                _reference_tags_with_closers(html)
+            assert parse_page(html) == _reference_parse_page(html,
+                                                             monkeypatch)
