@@ -13,7 +13,7 @@ a :class:`~repro.netsim.CaptureLog` — the raw dataset all analyses consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..dnssim import Resolver
 from ..netsim import (
@@ -52,6 +52,7 @@ from ..websim.scripts import (
     StoreTrackerState,
     baseline_actions,
     exfil_actions,
+    page_view_query,
     revisit_actions,
 )
 from ..websim.server import WebServer
@@ -74,6 +75,17 @@ _MAX_REDIRECTS = 5
 #: over (see :meth:`Browser._resource_url`).
 _RESOURCE_URL_MEMO = 256
 
+#: Header fields, header blocks and page contexts a browser keeps for
+#: reuse before it starts over (see :func:`_shared`,
+#: :meth:`Browser._page`).
+_PART_MEMO = 256
+_PAGE_MEMO = 256
+
+#: A request header field, or a request's whole block of fields.
+_Part = TypeVar("_Part", Tuple[str, str], Tuple[Tuple[str, str], ...])
+
+_AUTOMATION_FIELD = ("Sec-Automation", "true")
+
 
 class SimClock:
     """Monotonic simulated clock; each network exchange advances it."""
@@ -87,6 +99,37 @@ class SimClock:
     def tick(self, seconds: float = 0.05) -> float:
         self._now += seconds
         return self._now
+
+
+class _PageContext:
+    """What every request a page makes shares, built once per page URL:
+    the page's URL, that URL as text (each request's ``page_url`` and
+    full-URL ``Referer``), the initiator chain, the ``Referer`` fields
+    and the snippets' page-load ping query."""
+
+    __slots__ = ("url", "text", "chain", "referer", "_origin_referer",
+                 "_page_view")
+
+    def __init__(self, url: Url, text: str) -> None:
+        self.url = url
+        self.text = text
+        self.chain = (url,)
+        self.referer = ("Referer", self.text)
+        self._origin_referer: Optional[Tuple[str, str]] = None
+        self._page_view: Optional[Tuple[Tuple[str, str], ...]] = None
+
+    @property
+    def origin_referer(self) -> Tuple[str, str]:
+        """The strict-origin ``Referer`` field: the page's origin."""
+        if self._origin_referer is None:
+            self._origin_referer = ("Referer", self.url.origin + "/")
+        return self._origin_referer
+
+    @property
+    def page_view(self) -> Tuple[Tuple[str, str], ...]:
+        if self._page_view is None:
+            self._page_view = page_view_query(self.url)
+        return self._page_view
 
 
 @dataclass
@@ -154,6 +197,13 @@ class Browser:
         self._script_urls: Dict[Tuple[str, str], Url] = {}
         #: absolute subresource reference -> its parsed URL.
         self._resource_urls: Dict[str, Url] = {}
+        #: Header fields and whole header blocks: each the one tuple
+        #: with its value that requests share (see :func:`_shared`).
+        self._fields: Dict[Tuple[str, str], Tuple[str, str]] = {}
+        self._blocks: Dict[Tuple[Tuple[str, str], ...],
+                           Tuple[Tuple[str, str], ...]] = {}
+        #: page URL text -> the page's context.
+        self._pages: Dict[str, _PageContext] = {}
         self._captcha_ready: Dict[str, bool] = {}
         self._current_url: Optional[Url] = None
         #: PII exposed in the current page context (set by form submission).
@@ -223,9 +273,8 @@ class Browser:
         decisions, captcha readiness) only for ``domains``, the sites
         crawled since the previous record.  The capture log, the cookie
         jar and the circuit breakers are journaled as changes of their
-        own.  The URL memos are left out: a resumed browser starts them
-        empty, which changes which ``Url`` objects are shared, never a
-        value.
+        own.  The memos are left out: a resumed browser starts them
+        empty, which changes which objects are shared, never a value.
         """
         def of(per_site: Dict[str, object]) -> Dict[str, object]:
             return {domain: per_site[domain] for domain in domains
@@ -248,57 +297,66 @@ class Browser:
     def _load_document(self, site: Website, method: str, url: Url,
                        body: bytes, content_type: Optional[str],
                        stage: str) -> PageResult:
-        referer = str(self._current_url) if self._current_url else None
+        referer = (self._page(self._current_url).referer
+                   if self._current_url else None)
         response, final_url = self._request(
             site, method, url, body, content_type, RESOURCE_DOCUMENT,
             initiator_chain=(), stage=stage, referer=referer,
-            page_url=str(url))
+            page_url=self._page(url).text)
         if response is None or response.status != 200:
             status = response.status if response else 0
             return PageResult(url=final_url, status=status, page=None)
         # The page the server rendered the body from comes off the
         # response, which the capture log keeps: only HTML that arrives
-        # without one (a replayed or unpickled response) is parsed.
+        # without one (a replayed or unpickled response) is parsed.  A
+        # response without one may be shared, and is left as it is.
         page = response.page
-        response.page = None
+        if page is not None:
+            response.page = None
         html = response.body.decode("utf-8", errors="replace")
         if not response.headers.get("Content-Type", "").startswith("text/html"):
             return PageResult(url=final_url, status=200, page=None, html=html)
         self._current_url = final_url
         if page is None:
             page = parse_page(html)
-        self._process_page(site, page, final_url, stage)
+        self._process_page(site, page, self._page(final_url), stage)
         return PageResult(url=final_url, status=200, page=page, html=html)
 
-    def _process_page(self, site: Website, page: ParsedPage, page_url: Url,
-                      stage: str) -> None:
-        # Rendered once: every request the page makes shares this string
-        # as its ``page_url`` (and as its full-URL ``Referer``).
-        page_text = str(page_url)
-        chain = (page_url,)
+    def _process_page(self, site: Website, page: ParsedPage,
+                      context: _PageContext, stage: str) -> None:
         embeds_by_domain = {e.service.domain: e for e in site.embeds}
         for kind, tag in page.resource_tags():
             src = tag.get("src") or tag.get("href")
             if not src:
                 continue
-            resource_url = self._resource_url(page_url, src)
+            resource_url = self._resource_url(context.url, src)
             response, _ = self._request(
                 site, "GET", resource_url, b"", None,
                 _TAG_RESOURCE_TYPES[kind],
-                initiator_chain=chain, stage=stage,
-                referer=self._referer_value(page_url, page_text,
-                                            resource_url),
-                page_url=page_text)
+                initiator_chain=context.chain, stage=stage,
+                referer=self._referer_field(context, resource_url),
+                page_url=context.text)
             if tag.get("data-captcha") and response is not None:
                 self._captcha_ready[site.domain] = True
             if tag.get("data-cmp") and response is not None:
-                self._answer_consent_banner(site, page_url, page_text, stage)
+                self._answer_consent_banner(site, context, stage)
             tracker_domain = tag.get("data-tracker")
             if tracker_domain and response is not None:
                 embed = embeds_by_domain.get(tracker_domain)
                 if embed is not None:
-                    self._run_snippet(site, embed, page_url, page_text,
-                                      stage)
+                    self._run_snippet(site, embed, context, stage)
+
+    def _page(self, url: Url) -> _PageContext:
+        """The context of the page at ``url``, one per page URL: a page
+        loaded again shares its text, chain and fields with the earlier
+        loads.  The memo starts over when full to stay small."""
+        text = str(url)
+        context = self._pages.get(text)
+        if context is None:
+            if len(self._pages) >= _PAGE_MEMO:
+                self._pages.clear()
+            context = self._pages[text] = _PageContext(url, text)
+        return context
 
     def _resource_url(self, page_url: Url, src: str) -> Url:
         """``page_url.join(src)``, one shared ``Url`` per absolute ``src``.
@@ -318,8 +376,8 @@ class Browser:
             url = self._resource_urls[src] = Url.parse(src)
         return url
 
-    def _answer_consent_banner(self, site: Website, page_url: Url,
-                               page_text: str, stage: str) -> None:
+    def _answer_consent_banner(self, site: Website, context: _PageContext,
+                               stage: str) -> None:
         """Answer the site's cookie banner per the configured policy.
 
         Mirrors the §3.2 operator behaviour (one decision per site): the
@@ -341,10 +399,9 @@ class Browser:
                       encode_json({"site": site.domain,
                                    "choice": self.consent_policy}),
                       "application/json", "xmlhttprequest",
-                      initiator_chain=(page_url,), stage=stage,
-                      referer=self._referer_value(page_url, page_text,
-                                                  receipt_url),
-                      page_url=page_text)
+                      initiator_chain=context.chain, stage=stage,
+                      referer=self._referer_field(context, receipt_url),
+                      page_url=context.text)
 
     def _tracking_consented(self, site: Website) -> bool:
         """Whether the site's non-essential snippets may run."""
@@ -357,23 +414,23 @@ class Browser:
         return grants_tracking(decision)
 
     def _run_snippet(self, site: Website, embed: TrackerEmbed,
-                     page_url: Url, page_text: str, stage: str) -> None:
+                     context: _PageContext, stage: str) -> None:
         if not self._tracking_consented(site):
             return
         stored = {service: dict(params) for service, params
                   in self.tracker_storage.get(site.domain, {}).items()}
-        ctx = ScriptContext(site=site, page_url=page_url, stage=stage,
+        ctx = ScriptContext(site=site, page_url=context.url, stage=stage,
                             pii=dict(self._page_pii), stored_state=stored,
-                            timestamp=self.clock.now())
+                            timestamp=self.clock.now(),
+                            page_view=context.page_view)
         actions = list(baseline_actions(embed, ctx))
         if self._page_pii and embed.leaks:
             actions.extend(exfil_actions(embed, ctx))
         else:
             actions.extend(revisit_actions(embed, ctx))
-        chain = (page_url, self._script_url(embed.service))
+        chain = (context.url, self._script_url(embed.service))
         for action in actions:
-            self._execute_action(site, action, page_url, page_text, chain,
-                                 stage)
+            self._execute_action(site, action, context, chain, stage)
 
     def _script_url(self, service: TrackerService) -> Url:
         """The snippet's script URL, built once per script location."""
@@ -385,16 +442,16 @@ class Browser:
                 path=service.script_path)
         return url
 
-    def _execute_action(self, site: Website, action: object, page_url: Url,
-                        page_text: str, chain: Tuple[Url, ...],
+    def _execute_action(self, site: Website, action: object,
+                        context: _PageContext, chain: Tuple[Url, ...],
                         stage: str) -> None:
         if isinstance(action, EmitRequest):
             self._request(
                 site, action.method, action.url, action.body,
                 action.content_type, action.resource_type,
                 initiator_chain=chain, stage=stage,
-                referer=self._referer_value(page_url, page_text, action.url),
-                page_url=page_text)
+                referer=self._referer_field(context, action.url),
+                page_url=context.text)
         elif isinstance(action, SetFirstPartyCookie):
             # document.cookie write: a domain cookie on the first party.
             from ..netsim import Cookie
@@ -411,16 +468,22 @@ class Browser:
     def _request(self, site: Website, method: str, url: Url, body: bytes,
                  content_type: Optional[str], resource_type: str,
                  initiator_chain: Tuple[Url, ...], stage: str,
-                 referer: Optional[str], page_url: str,
+                 referer: Optional[Tuple[str, str]], page_url: str,
                  redirects: int = 0):
-        """Send one request (following redirects); returns (response, url)."""
+        """Send one request (following redirects); returns (response, url).
+
+        ``referer`` is the ``Referer`` header field, if any.  Repeated
+        fields and whole header blocks are shared tuples, not equal
+        copies: one ``Referer`` per page URL, one ``Cookie`` per value.
+        """
         fields = [self.profile.user_agent_field]
         if referer:
-            fields.append(("Referer", referer))
+            fields.append(referer)
         if content_type:
-            fields.append(("Content-Type", content_type))
+            fields.append(_shared(self._fields,
+                                  ("Content-Type", content_type)))
         if self.profile.automation_detectable:
-            fields.append(("Sec-Automation", "true"))
+            fields.append(_AUTOMATION_FIELD)
 
         is_third_party = default_list().is_third_party(url.host,
                                                        site.www_host)
@@ -429,9 +492,12 @@ class Browser:
             cookie_value = self.jar.cookie_header(url, self.clock.now(),
                                                   partition)
             if cookie_value:
-                fields.append(("Cookie", cookie_value))
+                fields.append(_shared(self._fields,
+                                      ("Cookie", cookie_value)))
 
-        request = HttpRequest(method=method, url=url, headers=Headers(fields),
+        request = HttpRequest(method=method, url=url,
+                              headers=Headers(_shared(self._blocks,
+                                                      tuple(fields))),
                               body=body, resource_type=resource_type,
                               initiator_chain=initiator_chain,
                               timestamp=self.clock.tick())
@@ -462,7 +528,8 @@ class Browser:
             target = url.join(response.location)
             return self._request(site, "GET", target, b"", None,
                                  resource_type, initiator_chain, stage,
-                                 referer=str(url), page_url=page_url,
+                                 referer=("Referer", str(url)),
+                                 page_url=page_url,
                                  redirects=redirects + 1)
         return response, url
 
@@ -606,14 +673,26 @@ class Browser:
             return service.domain
         return default_list().registrable_domain(host) or host
 
-    def _referer_value(self, page_url: Url, page_text: str,
-                       target: Url) -> str:
-        """Referer for a subresource request under the profile's policy;
-        ``page_text`` is ``str(page_url)``, rendered once per page."""
+    def _referer_field(self, context: _PageContext,
+                       target: Url) -> Tuple[str, str]:
+        """``Referer`` field of a subresource request under the
+        profile's policy."""
         if self.profile.referer_policy == REFERER_STRICT_ORIGIN and \
-                default_list().is_third_party(target.host, page_url.host):
-            return page_url.origin + "/"
-        return page_text
+                default_list().is_third_party(target.host, context.url.host):
+            return context.origin_referer
+        return context.referer
+
+
+def _shared(memo: Dict[_Part, _Part], part: _Part) -> _Part:
+    """``part``, or the equal one ``memo`` handed out before, so equal
+    request header fields and blocks are one tuple.  The memo starts
+    over when full to stay small in a long crawl."""
+    shared = memo.get(part)
+    if shared is None:
+        if len(memo) >= _PART_MEMO:
+            memo.clear()
+        shared = memo[part] = part
+    return shared
 
 
 def _pii_from_fields(fields: Dict[str, str]) -> Dict[str, str]:

@@ -6,8 +6,10 @@
 transport faults surface as :class:`~repro.netsim.faults.NetworkError`
 raises (the request never reaches the origin — no cookies are minted, no
 accounts mutate); injected HTTP faults surface as real 429/5xx responses;
-slow responses surface as the origin's genuine answer annotated with a
-``latency_seconds`` the client may refuse to wait for.
+slow responses surface as a copy of the origin's genuine answer that
+carries a ``latency_seconds`` the client may refuse to wait for.  Fault
+injection never writes onto the origin's response, which the server may
+share with every other exchange.
 """
 
 from __future__ import annotations
@@ -50,8 +52,11 @@ class FaultyServer:
             raise ConnectionReset(origin)
         if kind == FAULT_SLOW:
             response = self.server.handle(request)
-            response.latency_seconds = self.plan.slow_seconds
-            return response
+            return HttpResponse(status=response.status,
+                                headers=response.headers,
+                                body=response.body,
+                                latency_seconds=self.plan.slow_seconds,
+                                page=response.page)
         status = http_fault_status(kind)
         headers = Headers([("Content-Type", "text/plain")])
         if status == 429:

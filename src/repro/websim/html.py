@@ -224,6 +224,19 @@ def _fresh(text: str) -> str:
     return text[:1] + text[1:]
 
 
+class ScriptBlock:
+    """Script tags, rendered once with their parsed tags, that
+    :meth:`PageWriter.scripts` appends to many pages.  Every page model
+    shares the tags, so they are read-only."""
+
+    __slots__ = ("markup", "tags")
+
+    def __init__(self, scripts: List[Dict[str, str]]) -> None:
+        self.markup = tuple(render_tag("script", attrs) for attrs in scripts)
+        self.tags = tuple(Tag(name="script", attrs=attrs)
+                          for attrs in scripts)
+
+
 class PageWriter:
     """Writes a document and, beside it, the :class:`ParsedPage` that
     :func:`parse_page` reads back from the document.
@@ -255,9 +268,9 @@ class PageWriter:
                                           method=method.upper(),
                                           form_id=form_id, fields=parsed))
 
-    def script(self, attrs: Dict[str, str]) -> None:
-        self.parts.append(render_tag("script", attrs))
-        self.page.scripts.append(Tag(name="script", attrs=attrs))
+    def scripts(self, block: ScriptBlock) -> None:
+        self.parts.extend(block.markup)
+        self.page.scripts.extend(block.tags)
 
     def document(self, title: str) -> str:
         return render_document(title, self.parts)

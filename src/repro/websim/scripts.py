@@ -78,6 +78,22 @@ class ScriptContext:
     #: Previously stored tracker state for (this site, service) pairs.
     stored_state: Dict[str, Dict[str, str]] = field(default_factory=dict)
     timestamp: float = 0.0
+    #: The page-load ping's query, :func:`page_view_query` of
+    #: ``page_url``: a browser builds it once per page for every snippet
+    #: the page runs.
+    page_view: Optional[Tuple[Tuple[str, str], ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.page_view is None:
+            self.page_view = page_view_query(self.page_url)
+
+
+def page_view_query(page_url: Url) -> Tuple[Tuple[str, str], ...]:
+    """The page-load ping's query: the event, and as ``dl`` the document
+    location with the query stripped, so that PII landing in the page
+    URL (GET forms) reaches third parties via the Referer header only —
+    keeping the paper's channels distinct."""
+    return (("ev", "PageView"), ("dl", str(page_url.without_query())))
 
 
 def _param_for_field(base_param: str, pii_field: str, chain_index: int,
@@ -170,13 +186,8 @@ def baseline_actions(embed: TrackerEmbed, ctx: ScriptContext) -> List[Action]:
     exists whether or not the site leaks.
     """
     service = embed.service
-    host = _endpoint_host(service, ctx.site)
-    # "dl" carries the document location with the query stripped, so that
-    # PII landing in the page URL (GET forms) reaches third parties via the
-    # Referer header only — keeping the paper's channels distinct.
-    url = Url(scheme="https", host=host, path=service.endpoint_path,
-              query=(("ev", "PageView"),
-                     ("dl", str(ctx.page_url.without_query()))))
+    url = Url(scheme="https", host=_endpoint_host(service, ctx.site),
+              path=service.endpoint_path, query=ctx.page_view)
     return [EmitRequest(method="GET", url=url, resource_type=RESOURCE_IMAGE)]
 
 

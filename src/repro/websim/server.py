@@ -16,7 +16,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..netsim import Headers, HttpRequest, HttpResponse
 from ..psl import default_list
-from .html import PageWriter
+from .html import PageWriter, ScriptBlock
 from .site import (
     PAGE_ACCOUNT,
     PAGE_HOME,
@@ -49,10 +49,31 @@ _HOME_LINKS = ((PAGE_PATHS[PAGE_SIGNUP], "Create account"),
                ("/privacy", "Privacy policy"))
 _ACCOUNT_LINKS = (("/account", "Your account"),)
 
+#: A response's header fields.
+_Fields = Tuple[Tuple[str, str], ...]
+
+#: Header fields of the fixed replies.
+_JS_FIELDS = (("Content-Type", "application/javascript"),)
+_GIF_FIELDS = (("Content-Type", "image/gif"),)
+_JSON_FIELDS = (("Content-Type", "application/json"),)
+_HTML_FIELD = ("Content-Type", "text/html; charset=utf-8")
+
+#: Sites whose page parts a server keeps before it starts over (see
+#: :meth:`WebServer._site_parts`).
+_SITE_MEMO = 256
+
 
 @dataclass
 class WebServer:
-    """Serves every origin of the synthetic web."""
+    """Serves every origin of the synthetic web.
+
+    A reply that repeats is one shared object: the tracker replies that
+    mint no cookie, the CMP's, the fixed redirects and error pages (see
+    :meth:`_reply`), and per site the header fields and script block of
+    its pages (see :meth:`_site_parts`).  The capture log then holds,
+    pickles and ships each once.  Shared parts are read-only: nothing
+    edits a response or its ``Headers`` after the server returns it.
+    """
 
     sites: Dict[str, Website]
     catalog: TrackerCatalog
@@ -64,6 +85,12 @@ class WebServer:
     #: Counter making tracker-minted cookie IDs unique per issuance
     #: (a cleared jar gets a *new* tuid, like real tracker backends).
     _tuid_sequence: int = 0
+    #: (status, header fields, body) -> the one reply with those parts.
+    _replies: Dict[Tuple[int, _Fields, bytes], HttpResponse] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    #: site domain -> (page header fields, script block).
+    _parts_by_site: Dict[str, Tuple[_Fields, ScriptBlock]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     # -- checkpoint journal ----------------------------------------------
 
@@ -94,13 +121,24 @@ class WebServer:
             if cloaked is not None and host != site.www_host:
                 return self._tracker_response(request)
             if site.auth.unreachable:
-                return HttpResponse(status=503, body=b"service unavailable")
+                return self._reply(503, b"service unavailable")
             return self._site_response(site, request)
         if self.catalog.attribute_host(host) is not None:
             return self._tracker_response(request)
         if self._is_cmp_host(host):
             return self._cmp_response(request)
-        return HttpResponse(status=404, body=b"no such origin")
+        return self._reply(404, b"no such origin")
+
+    def _reply(self, status: int, body: bytes = b"",
+               fields: _Fields = ()) -> HttpResponse:
+        """The one shared response with these parts.  The keys are the
+        server's fixed replies, so the memo stays small."""
+        key = (status, fields, body)
+        reply = self._replies.get(key)
+        if reply is None:
+            reply = self._replies[key] = HttpResponse(
+                status=status, headers=Headers(fields), body=body)
+        return reply
 
     @staticmethod
     def _is_cmp_host(host: str) -> bool:
@@ -109,14 +147,10 @@ class WebServer:
                    for provider in CMP_PROVIDERS)
 
     def _cmp_response(self, request: HttpRequest) -> HttpResponse:
-        headers = Headers()
         if request.method == "POST" or "/receipt" in request.url.path:
-            headers.set("Content-Type", "application/json")
-            return HttpResponse(status=200, headers=headers,
-                                body=b'{"status":"recorded"}')
-        headers.set("Content-Type", "application/javascript")
-        return HttpResponse(status=200, headers=headers,
-                            body=b"/* consent management stub */")
+            return self._reply(200, b'{"status":"recorded"}', _JSON_FIELDS)
+        return self._reply(200, b"/* consent management stub */",
+                           _JS_FIELDS)
 
     def _site_for_host(self, host: str) -> Optional[Website]:
         registrable = default_list().registrable_domain(host) or host
@@ -130,7 +164,7 @@ class WebServer:
             return self._page(site, "Home", site.domain, _HOME_LINKS)
         if path == PAGE_PATHS[PAGE_SIGNUP]:
             if not site.auth.has_auth:
-                return HttpResponse(status=404, body=b"not found")
+                return self._reply(404, b"not found")
             return self._page(site, "Create account", "Create your account",
                               form=signup_form(site))
         if path == "/account/register/submit":
@@ -142,7 +176,7 @@ class WebServer:
             return self._handle_confirm(site, request)
         if path == PAGE_PATHS[PAGE_SIGNIN]:
             if not site.auth.has_auth:
-                return HttpResponse(status=404, body=b"not found")
+                return self._reply(404, b"not found")
             return self._page(site, "Sign in", "Sign in",
                               form=signin_form(site))
         if path == "/account/login/submit":
@@ -153,8 +187,8 @@ class WebServer:
             return self._page(site, "Aurora Lamp", "Aurora Lamp",
                               (("/account", "Account"),))
         if path == "/privacy":
-            return HttpResponse(status=200, body=b"(privacy policy page)")
-        return HttpResponse(status=404, body=b"not found")
+            return self._reply(200, b"(privacy policy page)")
+        return self._reply(404, b"not found")
 
     def _page(self, site: Website, title: str, heading: str,
               links: Sequence[Tuple[str, str]] = (),
@@ -163,34 +197,50 @@ class WebServer:
         or ``form``, then the site's consent, tracker and captcha
         scripts.  The response carries the parsed page beside the bytes
         (see :class:`~repro.websim.html.PageWriter`)."""
+        fields, scripts = self._site_parts(site)
         writer = PageWriter(heading)
         for href, text in links:
             writer.link(href, text)
         if form is not None:
             writer.form(form.action, form.method, form.form_id,
                         [(f.name, f.kind, f.value) for f in form.fields])
+        writer.scripts(scripts)
+        body = writer.document("%s - %s" % (site.domain, title))
+        return HttpResponse(status=200, headers=Headers(fields),
+                            body=body.encode("utf-8"), page=writer.page)
+
+    def _site_parts(self, site: Website) -> Tuple[_Fields, ScriptBlock]:
+        """What every page of ``site`` shares: its header fields (the
+        content type and the site's deterministic ``session`` cookie)
+        and its consent, tracker and captcha scripts, built once per
+        site.  The memo starts over when full to stay small."""
+        parts = self._parts_by_site.get(site.domain)
+        if parts is not None:
+            return parts
+        scripts = []
         if site.consent is not None:
-            writer.script({
+            scripts.append({
                 "src": "https://%s%s" % (site.consent.script_host,
                                          site.consent.script_path),
                 "data-cmp": site.consent.provider})
         for embed in site.embeds:
             service = embed.service
-            writer.script({
+            scripts.append({
                 "src": "https://%s%s" % (service.script_host,
                                          service.script_path),
                 "data-tracker": service.domain})
         if site.auth.captcha_blocks_brave:
-            writer.script({
+            scripts.append({
                 "src": "https://ct.%s/challenge.js" % CAPTCHA_PROVIDER,
                 "data-captcha": "1"})
-        body = writer.document("%s - %s" % (site.domain, title))
-        headers = Headers([("Content-Type", "text/html; charset=utf-8")])
-        headers.add("Set-Cookie",
-                    "session=%s; Path=/; Max-Age=86400"
-                    % _session_token(site.domain))
-        return HttpResponse(status=200, headers=headers,
-                            body=body.encode("utf-8"), page=writer.page)
+        fields = (_HTML_FIELD,
+                  ("Set-Cookie", "session=%s; Path=/; Max-Age=86400"
+                   % _session_token(site.domain)))
+        if len(self._parts_by_site) >= _SITE_MEMO:
+            self._parts_by_site.clear()
+        parts = self._parts_by_site[site.domain] = (fields,
+                                                    ScriptBlock(scripts))
+        return parts
 
     # -- auth endpoints --------------------------------------------------
 
@@ -205,12 +255,12 @@ class WebServer:
         params = self._form_params(request)
         email = params.get("email", "")
         if not email:
-            return HttpResponse(status=400, body=b"missing email")
+            return self._reply(400, b"missing email")
         if site.auth.bot_detection and \
                 request.headers.get("Sec-Automation") == "true":
-            return HttpResponse(status=403, body=b"bot detected")
+            return self._reply(403, b"bot detected")
         if site.auth.captcha_blocks_brave and not params.get("captcha_token"):
-            return HttpResponse(status=403, body=b"captcha required")
+            return self._reply(403, b"captcha required")
 
         site_accounts = self.accounts.setdefault(site.domain, {})
         if site.auth.requires_email_confirmation:
@@ -230,7 +280,8 @@ class WebServer:
             # POST-redirect-GET, as well-built sites do.  GET forms (the
             # accidental-leak sites) land directly on the result page so
             # the PII-bearing URL stays the document location.
-            return _redirect("/account/register/welcome")
+            return self._reply(302, fields=(
+                ("Location", "/account/register/welcome"),))
         return self._page(site, "Welcome", "Account created", _ACCOUNT_LINKS)
 
     def _handle_confirm(self, site: Website,
@@ -242,7 +293,7 @@ class WebServer:
             site_accounts[email] = ACCOUNT_ACTIVE
             return self._page(site, "Email confirmed",
                               "Thanks, you are verified")
-        return HttpResponse(status=400, body=b"invalid confirmation")
+        return self._reply(400, b"invalid confirmation")
 
     def _handle_signin_submit(self, site: Website,
                               request: HttpRequest) -> HttpResponse:
@@ -250,35 +301,29 @@ class WebServer:
         email = params.get("email", "")
         state = self.accounts.get(site.domain, {}).get(email)
         if state != ACCOUNT_ACTIVE:
-            return HttpResponse(status=401, body=b"unknown or pending account")
+            return self._reply(401, b"unknown or pending account")
         return self._page(site, "Signed in", "Signed in", _ACCOUNT_LINKS)
 
     # -- third-party endpoints --------------------------------------------
 
     def _tracker_response(self, request: HttpRequest) -> HttpResponse:
-        headers = Headers()
         service = self.catalog.attribute_host(request.url.host)
         if request.url.path.endswith(".js") or \
                 request.resource_type == "script":
-            headers.set("Content-Type", "application/javascript")
-            body = b"/* tracking snippet */"
+            fields, body = _JS_FIELDS, b"/* tracking snippet */"
         else:
-            headers.set("Content-Type", "image/gif")
-            body = b"GIF89a\x01\x00\x01\x00"
-        if service is not None and service.sets_cookie \
-                and request.headers.get("Cookie") is None:
-            self._tuid_sequence += 1
-            headers.add("Set-Cookie",
-                        "tuid=%s; Path=/; Max-Age=31536000; Domain=%s"
-                        % (_session_token("%s#%d" % (service.domain,
-                                                     self._tuid_sequence)),
-                           service.domain))
-        return HttpResponse(status=200, headers=headers, body=body)
-
-
-def _redirect(location: str) -> HttpResponse:
-    return HttpResponse(status=302,
-                        headers=Headers([("Location", location)]))
+            fields, body = _GIF_FIELDS, b"GIF89a\x01\x00\x01\x00"
+        if service is None or not service.sets_cookie \
+                or request.headers.get("Cookie") is not None:
+            return self._reply(200, body, fields)
+        self._tuid_sequence += 1
+        cookie = ("Set-Cookie",
+                  "tuid=%s; Path=/; Max-Age=31536000; Domain=%s"
+                  % (_session_token("%s#%d" % (service.domain,
+                                               self._tuid_sequence)),
+                     service.domain))
+        return HttpResponse(status=200, headers=Headers(fields + (cookie,)),
+                            body=body)
 
 
 def _session_token(seed: str) -> str:

@@ -7,7 +7,9 @@ captured from the earlier ``__dict__``-backed dataclasses.
 """
 
 import dataclasses
+import gc
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -269,6 +271,45 @@ def test_no_captured_response_of_a_faulted_job_keeps_its_page_model(
                if entry.response is not None)
 
 
+def test_fault_injection_writes_no_shared_response(monkeypatch):
+    """A slow fault's latency rides on a copy of the origin's answer:
+    the server shares its fixed replies with every exchange, so a
+    latency written onto one would slow every later exchange too."""
+    from repro.service import JobRun, JobSpec
+    from repro.service.jobs import STATE_COMPLETE
+    from repro.websim.faults import FaultyServer
+    decisions = []
+    served = []
+    next_fault = FaultPlan.next_fault
+    handle = FaultyServer.handle
+
+    def deciding(self, origin):
+        decisions.append(next_fault(self, origin))
+        return decisions[-1]
+
+    def serving(self, request):
+        response = handle(self, request)
+        served.append((decisions[-1], response))
+        return response
+
+    monkeypatch.setattr(FaultPlan, "next_fault", deciding)
+    monkeypatch.setattr(FaultyServer, "handle", serving)
+    spec = JobSpec.from_dict({"seed": 404, "sites": 24, "fault_rate": 0.05,
+                              "fault_seed": 3})
+    assert JobRun(spec).execute().state == STATE_COMPLETE
+    # The responses that carry a latency are exactly the slow faults.
+    assert [kind == FAULT_SLOW for kind, _ in served] == [
+        response.latency_seconds is not None for _, response in served]
+    assert decisions.count(FAULT_SLOW) > 0
+    times_served = Counter(id(response) for _, response in served)
+    shared = {id(response): response for _, response in served
+              if times_served[id(response)] > 1}
+    assert len(shared) > 2
+    for response in shared.values():
+        assert response.latency_seconds is None
+        assert response.page is None
+
+
 def test_a_page_without_its_model_is_parsed_and_crawled_the_same(
         monkeypatch):
     """Every response goes through a pickle, as a replayed one would:
@@ -318,10 +359,17 @@ def test_a_page_model_changes_no_pickled_byte(monkeypatch):
     assert parsed == modelled
 
 
-#: Pickled bytes per capture entry of the 8-site crawl below.  The
-#: slotted records pickle to 307.6 bytes per entry; the ``__dict__``-backed
-#: dataclasses they replaced took 398.3.  The ceiling leaves 7% headroom.
-_PICKLED_BYTES_PER_ENTRY_CEILING = 330
+#: Pickled bytes per capture entry of the 8-site crawl below.  With its
+#: repeated exchange parts shared, the log pickles to 220.9 bytes per
+#: entry; with every part a copy, the slotted records took 283.7 and the
+#: ``__dict__``-backed dataclasses before them 398.3.  The ceiling leaves
+#: 7% headroom.
+_PICKLED_BYTES_PER_ENTRY_CEILING = 237
+
+#: Tuples reachable from the 8-site crawl's capture log: 697 with the
+#: repeated header fields, header blocks, queries and initiator chains
+#: shared, 2,442 with every one a copy.
+_LOG_TUPLES_CEILING = 750
 
 
 def _crawl_entries():
@@ -341,10 +389,61 @@ def test_capture_log_pickled_footprint():
 
 def test_equal_cookie_headers_from_one_crawl_are_one_object():
     shared = {}
+    fields = {}
     sent = 0
     for entry in _crawl_entries():
         value = entry.request.headers.get("Cookie")
         if value:
             sent += 1
             assert shared.setdefault(value, value) is value
+        for field in entry.request.headers:
+            if field[0] == "Cookie":
+                assert fields.setdefault(field, field) is field
     assert sent > len(shared) > 1
+    assert len(fields) == len(shared)
+
+
+#: The tracker replies: a script, and a one-pixel GIF.
+_TRACKER_BODIES = (b"/* tracking snippet */", b"GIF89a\x01\x00\x01\x00")
+
+
+def test_tracker_replies_that_set_no_cookie_are_two_objects():
+    replies = [entry.response for entry in _crawl_entries()
+               if entry.response is not None
+               and entry.response.body in _TRACKER_BODIES]
+    plain = [reply for reply in replies if not reply.set_cookie_headers]
+    assert len(plain) > 100
+    assert len({id(reply) for reply in plain}) <= 2
+    # A reply that mints a ``tuid`` is its own.
+    minted = [reply for reply in replies if reply.set_cookie_headers]
+    assert len({id(reply) for reply in minted}) == len(minted) > 0
+
+
+def test_every_referer_field_of_one_page_is_one_object():
+    fields = {}
+    for entry in _crawl_entries():
+        for field in entry.request.headers:
+            if field[0] == "Referer":
+                key = (entry.page_url, field[1])
+                assert fields.setdefault(key, field) is field
+    pages = {page for page, _ in fields}
+    assert len(fields) >= len(pages) > 20
+
+
+def _reachable(root):
+    """Every object reachable from ``root``, classes left out."""
+    seen = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen and not isinstance(obj, type):
+            seen[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+    return seen.values()
+
+
+def test_capture_log_live_tuples():
+    entries = _crawl_entries()
+    tuples = sum(1 for obj in _reachable(entries) if type(obj) is tuple)
+    assert len(entries) > 300
+    assert tuples < _LOG_TUPLES_CEILING

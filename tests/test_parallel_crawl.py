@@ -98,10 +98,11 @@ def test_parallel_fingerprint_equals_serial_fingerprint(seed):
 
 
 #: Pickled bytes of the seed-404 study's eight shard results, as the
-#: supervisor's result queue ships them.  The benchmark suite's traced
-#: ``study-parallel`` reports 5,705,332 as ``ipc.result_bytes``: these
+#: supervisor's result queue ships them (5,704,212 while every repeated
+#: exchange part was a copy of its own).  The benchmark suite's traced
+#: ``study-parallel`` reports 4,461,902 as ``ipc.result_bytes``: these
 #: and the resource samples its shards carry besides.
-_SEED_404_SHARD_RESULT_BYTES = 5_704_212
+_SEED_404_SHARD_RESULT_BYTES = 4_460_782
 
 
 def test_seed_404_shard_results_pickle_to_the_pinned_bytes(monkeypatch):

@@ -9,6 +9,7 @@ from repro.websim import html as html_module
 from repro.websim.generator import GeneratorConfig, generate_population
 from repro.websim.html import (
     PageWriter,
+    ScriptBlock,
     Tag,
     _iter_tags_with_closers,
     _parse_attrs,
@@ -254,8 +255,9 @@ def test_page_writer_model_is_the_parse_of_its_document():
     writer.link('/next?a=1&b="2"', "<next>")
     writer.form("/s?x=1&y=2", "get", 'f"1',
                 [("email", "email", ""), ("csrf", "hidden", "t&<k>")])
-    writer.script({"src": "https://t.net/a.js?x=1&y=2",
-                   "data-tracker": "t.net"})
+    writer.scripts(ScriptBlock([{"src": "https://t.net/a.js?x=1&y=2",
+                                 "data-tracker": "t.net"},
+                                {"src": "/c.js", "data-captcha": "1"}]))
     html = writer.document("T")
     assert parse_page(html) == writer.page
     assert writer.page.forms[0].method == "GET"
