@@ -1,7 +1,7 @@
 """Core contribution: persona, candidate tokens, leak detection, analysis,
 and the end-to-end study pipeline."""
 
-from .assets import CompiledStudyAssets, StudyAssetsSpec
+from .assets import CompiledStudyAssets
 from .analysis import (
     BreakdownRow,
     ENCODING_ROWS,
@@ -85,7 +85,6 @@ __all__ = [
     "PII_USERNAME",
     "Persona",
     "Study",
-    "StudyAssetsSpec",
     "StudyConfig",
     "StudyResult",
     "TokenOrigin",

@@ -9,24 +9,17 @@ is the one public construction path that replaces those implicit
 rebuilds: a study compiles its assets once and threads them
 ``Study.crawl → supervisor/parallel → runner → detector``.
 
-Two classes split the work across the process boundary:
-
-* :class:`CompiledStudyAssets` — the live, *unpicklable-by-intent*
-  bundle: the built population, the lazily-compiled
-  :class:`~repro.core.tokens.CandidateTokenSet` (built recorder-free so
-  it can be reused under any trace; see :meth:`replay_token_funnel`)
-  and detector factories.  The token set is a function of the persona
-  and the token config alone, so its token table and index are
-  built once per ``(persona, TokenSetConfig)`` per process and shared
-  by every bundle — every study and every service job — that asks for
-  the same pair.
-* :class:`StudyAssetsSpec` — the compact picklable recipe
-  (population spec + token config) a :class:`~repro.crawler.parallel.
-  ShardJob` carries instead of heavyweight live objects.  Workers call
-  :meth:`StudyAssetsSpec.compiled`, which memoises per process: every
-  shard that lands in the same worker (and, under a forking start
-  method, every worker inheriting the parent's warm memo) reuses one
-  compiled bundle instead of rebuilding per shard.
+Every stage of a crawl uses the one population the study (or the
+parallel engine's parent process) holds; forked workers inherit it and
+non-forking start methods receive it once per worker with the job list.
+:class:`CompiledStudyAssets` is the live bundle: the built population,
+the lazily-compiled :class:`~repro.core.tokens.CandidateTokenSet`
+(built recorder-free so it can be reused under any trace; see
+:meth:`~CompiledStudyAssets.replay_token_funnel`) and detector
+factories.  The token set is a function of the persona and the token
+config alone, so its token table and index are built once per
+``(persona, TokenSetConfig)`` per process and shared by every bundle —
+every study and every service job — that asks for the same pair.
 
 Nothing here may move a fingerprint: assets only cache pure functions
 of the study's immutable inputs, and the funnel counters a precomputed
@@ -36,8 +29,7 @@ recorder the reusing stage supplies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from ..obs import Recorder
 from ..psl import PublicSuffixList, default_list
@@ -49,9 +41,9 @@ from .tokens import CandidateTokenSet, TokenSetConfig
 class CompiledStudyAssets:
     """Everything the crawl/analyze hot path needs, compiled once.
 
-    Build it with :meth:`for_population` (or :meth:`StudyAssetsSpec.
-    compiled` inside workers); :class:`~repro.core.pipeline.Study`
-    builds one automatically, or accepts a prebuilt instance via
+    Build it with :meth:`for_population`;
+    :class:`~repro.core.pipeline.Study` builds one automatically, or
+    accepts a prebuilt instance via
     ``StudyConfig(assets=...)`` so several studies over the same
     population can share the compiled state.
     """
@@ -84,21 +76,6 @@ class CompiledStudyAssets:
     @property
     def catalog(self):
         return self.population.catalog
-
-    def spec(self) -> "StudyAssetsSpec":
-        """The picklable recipe for these assets.
-
-        Requires a ``population_spec``; a bundle built straight from a
-        live population has no compact recipe to ship.
-        """
-        if self.population_spec is None:
-            raise ValueError(
-                "these assets were built from a live population without a "
-                "population_spec; construct them with one (e.g. "
-                "Study(population, population_spec=...)) to get a "
-                "picklable StudyAssetsSpec")
-        return StudyAssetsSpec(population_spec=self.population_spec,
-                               token_config=self.token_config)
 
     # -- compiled pieces --------------------------------------------------
 
@@ -143,94 +120,25 @@ class CompiledStudyAssets:
                             locations=locations, recorder=recorder)
 
 
-@dataclass(frozen=True)
-class StudyAssetsSpec:
-    """Picklable recipe for :class:`CompiledStudyAssets`.
-
-    The compact payload shard jobs carry across the process boundary:
-    a :class:`~repro.crawler.parallel.PopulationSpec` plus the token
-    config.  :meth:`compiled` rebuilds — or, crucially, *reuses* — the
-    live bundle in the executing process.
-    """
-
-    population_spec: object
-    token_config: Optional[TokenSetConfig] = None
-
-    def compiled(self) -> CompiledStudyAssets:
-        """The process-local compiled bundle for this recipe.
-
-        Memoised per process keyed by the spec's value (identity for
-        unhashable population specs, e.g. prebuilt ones wrapping live
-        populations): all shards executed by one process share a single
-        population + token index, and processes forked from a warm
-        parent inherit its memo copy-on-write.
-        """
-        key = self._memo_key()
-        entry = _PROCESS_ASSETS.get(key)
-        # Entries keep the keying spec alive, so an id()-based key can
-        # never alias a new spec onto a dead one's bundle; the identity
-        # check makes that explicit.
-        if entry is not None and (key is self or entry[0] is self):
-            return entry[1]
-        population = self.population_spec.build()
-        assets = CompiledStudyAssets(
-            population, population_spec=self.population_spec,
-            token_config=self.token_config)
-        _memo_store(key, self, assets)
-        return assets
-
-    def seed(self, assets: CompiledStudyAssets) -> None:
-        """Pre-populate the process memo with a live bundle.
-
-        The parent-side warm-up for forking engines: seeding before the
-        workers fork lets every child inherit the already-built bundle
-        copy-on-write and skip its own population build entirely.  (With
-        a ``spawn`` start method children start cold and :meth:`compiled`
-        rebuilds once per worker as before.)
-        """
-        _memo_store(self._memo_key(), self, assets)
-
-    def _memo_key(self) -> Union["StudyAssetsSpec", int]:
-        # Probes hashability only; the memo this keys is process-local
-        # by design, so per-process hash randomisation cannot leak into
-        # anything that crosses a process or a fingerprint.
-        try:
-            hash(self)  # statan: ignore[DET104] -- process-local memo key, never serialized or fingerprinted
-        except TypeError:
-            return id(self)
-        return self
-
-
-#: Process-local memo of compiled bundles (see `StudyAssetsSpec.compiled`):
-#: key -> (keying spec, bundle), insertion-ordered for FIFO eviction.
-_PROCESS_ASSETS: Dict[object, tuple] = {}
-_PROCESS_ASSETS_LIMIT = 4
-
 #: Process-local memo of built token sets (see
 #: `CompiledStudyAssets.tokens`): (persona, TokenSetConfig) -> the set
-#: whose tables later sets share, insertion-ordered for FIFO eviction,
-#: bounded like `_PROCESS_ASSETS`.
+#: whose tables later sets share, insertion-ordered for FIFO eviction.
 _PROCESS_TOKENS: Dict[Tuple[Persona, TokenSetConfig], CandidateTokenSet] = {}
+_PROCESS_TOKENS_LIMIT = 4
 
 
 def _trim(memo: Dict) -> None:
-    """FIFO-evict ``memo`` down to `_PROCESS_ASSETS_LIMIT` entries.
+    """FIFO-evict ``memo`` down to `_PROCESS_TOKENS_LIMIT` entries.
 
-    Bounds what a long-lived service process can pin (populations and
-    token automata are large); evicted entries just rebuild.  Every
+    Bounds what a long-lived service process can pin (token automata
+    are large); evicted entries just rebuild.  Every
     insert is followed by its own trim, over a snapshot of the keys with
     ``pop(key, None)``, so runner threads that insert at once never
     raise and leave the memo within the bound.
     """
     keys = list(memo)
-    for stale in keys[:max(0, len(keys) - _PROCESS_ASSETS_LIMIT)]:
+    for stale in keys[:max(0, len(keys) - _PROCESS_TOKENS_LIMIT)]:
         memo.pop(stale, None)
-
-
-def _memo_store(key: object, spec: "StudyAssetsSpec",
-                assets: CompiledStudyAssets) -> None:
-    _PROCESS_ASSETS[key] = (spec, assets)
-    _trim(_PROCESS_ASSETS)
 
 
 def _shared_token_set(persona: Persona,
@@ -260,7 +168,6 @@ def _shared_token_set(persona: Persona,
 
 
 def clear_process_assets() -> None:
-    """Drop the process-local assets and token-set memos (tests, cold
-    benchmarks and long-lived services)."""
-    _PROCESS_ASSETS.clear()
+    """Drop the process-local token-set memo (tests, cold benchmarks and
+    long-lived services)."""
     _PROCESS_TOKENS.clear()

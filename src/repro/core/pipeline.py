@@ -233,9 +233,9 @@ class Study:
     ``population`` is the synthetic web to study; ``config`` a
     :class:`StudyConfig` (defaults apply when omitted);
     ``population_spec`` an optional picklable
-    :class:`~repro.crawler.PopulationSpec` recipe the parallel engine
-    uses to rebuild the population inside worker processes (``None``
-    deep-copies the live population per shard).  The instance exposes
+    :class:`~repro.crawler.PopulationSpec` recipe that names the
+    population in the parallel engine's study manifest; every shard
+    crawls ``population`` itself either way.  The instance exposes
     each stage separately (:meth:`crawler`, :meth:`crawl`,
     :meth:`analyze`) plus the one-call :meth:`run`.
     """
@@ -357,9 +357,9 @@ class Study:
 
     def _parallel_engine(self, checkpoint_dir: Optional[str] = None):
         """The sharded multi-process engine for this study's population."""
-        from ..crawler import ParallelCrawler, PrebuiltPopulationSpec
-        spec = self.population_spec or PrebuiltPopulationSpec(self.population)
-        return ParallelCrawler(spec, assets=self.assets(),
+        from ..crawler import ParallelCrawler
+        return ParallelCrawler(self.population_spec or self.population,
+                               assets=self.assets(),
                                workers=self.config.workers,
                                num_shards=self.config.num_shards,
                                profile=self.config.profile or vanilla_firefox(),

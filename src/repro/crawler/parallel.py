@@ -48,12 +48,11 @@ function of ``(population, seed, shard)`` whichever attempt produced it.
 
 from __future__ import annotations
 
-import copy
 import os
 from dataclasses import dataclass, field as dataclasses_field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ..core.assets import CompiledStudyAssets, StudyAssetsSpec
+from ..core.assets import CompiledStudyAssets
 from ..mailsim import Mailbox
 from ..netsim import CaptureLog
 from ..netsim.faults import FaultEvent, FaultPlan
@@ -77,17 +76,16 @@ ProgressSink = Callable[[HeartbeatEvent], None]
 
 
 # ---------------------------------------------------------------------------
-# Population specs: picklable recipes a worker process rebuilds a web from.
+# Population specs: picklable recipes the parent builds a web from.
 # ---------------------------------------------------------------------------
 
 class PopulationSpec:
-    """A picklable recipe for (re)building a :class:`Population`.
+    """A picklable recipe for building a :class:`Population`.
 
-    Workers receive a spec — never a live :class:`~repro.websim.server.
-    WebServer` or resolver — and call :meth:`build` locally, so every
-    process owns its synthetic web outright.  ``build`` must be
-    deterministic: two calls (in any process) return populations that
-    crawl identically.
+    The parallel engine builds it once, in the parent; the service and
+    the study manifest name a crawl by it (:meth:`describe`).  ``build``
+    must be deterministic: two calls (in any process) return populations
+    that crawl identically.
     """
 
     def build(self) -> Population:
@@ -132,34 +130,19 @@ class GeneratedPopulationSpec(PopulationSpec):
         return "generated population (seed=%d)" % self.seed
 
 
-@dataclass
-class PrebuiltPopulationSpec(PopulationSpec):
-    """Wraps an already-built population.
-
-    :meth:`build` returns a deep copy so that shards can never observe
-    each other's (or the caller's) mutations through a shared object —
-    the same isolation a worker process gets for free from pickling.
-    """
-
-    population: Population
-
-    @gc_paused
-    def build(self) -> Population:
-        return copy.deepcopy(self.population)
-
-    def describe(self) -> str:
-        return "prebuilt population (%d sites)" % len(self.population.sites)
-
-
 # ---------------------------------------------------------------------------
 # Shard jobs and results (the pool's picklable currency).
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ShardJob:
-    """Everything one worker needs to crawl one shard."""
+    """Everything one worker needs to crawl one shard.
 
-    spec: PopulationSpec
+    ``population`` is the engine's own object, shared by every job of a
+    crawl: pickling the job list writes it once.
+    """
+
+    population: Population
     shard: ShardInfo
     profile: Optional[object] = None          # BrowserProfile
     consent_policy: Optional[str] = None
@@ -183,12 +166,6 @@ class ShardJob:
     #: telemetry: requires ``progress`` to have a channel to ride, and
     #: never touches the dataset or the trace.
     resources: bool = False
-    #: Compact compiled-assets recipe (see
-    #: :class:`~repro.core.assets.StudyAssetsSpec`).  When present the
-    #: worker resolves its population through the process-local assets
-    #: memo, so every shard the process executes shares one rebuilt
-    #: population instead of building its own.
-    assets: Optional[StudyAssetsSpec] = None
 
 
 @dataclass
@@ -215,18 +192,11 @@ class ShardResult:
 
 def _session_for_job(job: ShardJob) -> CrawlSession:
     """Build (or resume) the crawl session a job describes."""
-    if job.assets is not None:
-        # Shards never share state *within* the population they crawl
-        # (the layout partitions sites), so every shard this process
-        # executes can run against the one memoised rebuild.
-        population = job.assets.compiled().population
-    else:
-        population = job.spec.build()
     if job.checkpoint_path and os.path.exists(job.checkpoint_path):
-        return CrawlSession.load(job.checkpoint_path, population,
+        return CrawlSession.load(job.checkpoint_path, job.population,
                                  expect_shard=job.shard)
     crawler = StudyCrawler(
-        population, profile=job.profile, extension=job.extension,
+        job.population, profile=job.profile, extension=job.extension,
         firewall=job.firewall, consent_policy=job.consent_policy,
         automated=job.automated, fault_plan=job.fault_plan,
         retry_policy=job.retry_policy,
@@ -363,8 +333,8 @@ class ParallelCrawlResult:
 class ParallelCrawler:
     """Crawls a population's shards over supervised worker processes.
 
-    ``population`` may be a live :class:`Population` (wrapped in a
-    :class:`PrebuiltPopulationSpec`) or any :class:`PopulationSpec`.
+    ``population`` may be a live :class:`Population` or any
+    :class:`PopulationSpec`, which is built once, in the parent.
     ``workers=1`` (the default) runs every shard sequentially in-process
     — the serial reference the fingerprint contract is stated against;
     ``workers=N`` fans the same shards out over at most N supervised
@@ -374,12 +344,10 @@ class ParallelCrawler:
     deliberately independent of ``workers``.
 
     ``assets`` (a :class:`~repro.core.assets.CompiledStudyAssets`)
-    threads a study's compile-once bundle through the engine: the
-    bundle's population is reused for layout and merge (so the merged
-    dataset's ``population`` is the study's own object), and shard jobs
-    carry the bundle's compact :class:`~repro.core.assets.
-    StudyAssetsSpec` so worker processes share one rebuilt population
-    across all the shards they execute.
+    threads a study's compile-once bundle through the engine: given a
+    spec, the engine crawls the bundle's population instead of building
+    one, so every shard and the merged dataset's ``population`` are the
+    study's own object.
 
     ``supervision`` (a :class:`~repro.crawler.SupervisorConfig`) tunes
     the executor's watchdog deadline, retry budget, and shutdown drain;
@@ -455,28 +423,15 @@ class ParallelCrawler:
                 "a chaos plan requires workers >= 2: faults kill or hang "
                 "the executing process, and with workers=1 that process "
                 "is the caller's own")
+        self.spec: Optional[PopulationSpec] = None
+        self._population: Optional[Population] = None
         if isinstance(population, PopulationSpec):
-            self.spec: PopulationSpec = population
-            self._population: Optional[Population] = None
+            self.spec = population
+            if assets is not None:
+                self._population = assets.population
         else:
-            self.spec = PrebuiltPopulationSpec(population)
             self._population = population
         self.assets = assets
-        if assets is not None and self._population is None:
-            # The compiled bundle's population *is* the study's; reuse
-            # it for layout + merge instead of building a duplicate.
-            self._population = assets.population
-        # One compact picklable recipe shared by every shard job, so
-        # each executing process resolves its population through the
-        # process-local assets memo exactly once.
-        self._assets_spec = StudyAssetsSpec(
-            population_spec=self.spec,
-            token_config=assets.token_config if assets is not None else None)
-        if assets is not None:
-            # Warm this process's memo so in-process shards reuse the
-            # study's own bundle and forked workers inherit it
-            # copy-on-write instead of rebuilding the population.
-            self._assets_spec.seed(assets)
         self.workers = workers
         self.num_shards = num_shards
         self.profile = profile
@@ -499,7 +454,7 @@ class ParallelCrawler:
     # -- layout ----------------------------------------------------------
 
     def population(self) -> Population:
-        """The parent-side population (built once, reused for the merge)."""
+        """The population every shard crawls (built once, in the parent)."""
         if self._population is None:
             self._population = self.spec.build()
         return self._population
@@ -515,9 +470,9 @@ class ParallelCrawler:
     def shard_session(self, index: int) -> CrawlSession:
         """A fresh in-process session for shard ``index``.
 
-        Builds exactly the session a worker would build (own population,
-        own fresh fault plan) — useful for tests and for stepping a
-        single shard by hand.  Raises :class:`IndexError` on an
+        Builds exactly the session a worker would build (the engine's
+        population, its own fresh fault plan) — useful for tests and for
+        stepping a single shard by hand.  Raises :class:`IndexError` on an
         out-of-range index.
         """
         return _session_for_job(self._job(index, checkpointed=False))
@@ -579,7 +534,7 @@ class ParallelCrawler:
             config=self.supervision, workers=self.workers,
             progress=self.progress, chaos=self.chaos,
             checkpoint_dir=self.checkpoint_dir,
-            spec_description=self.spec.describe(),
+            spec_description=self._describe(),
             event_sink=self.supervision_sink)
         try:
             outcome = self._supervisor.run(jobs, layout=self.layout)
@@ -632,13 +587,19 @@ class ParallelCrawler:
 
     # -- internals -------------------------------------------------------
 
+    def _describe(self) -> str:
+        if self.spec is not None:
+            return self.spec.describe()
+        return "prebuilt population (%d sites)" % len(self._population.sites)
+
     def _job(self, index: int, checkpointed: bool = True) -> ShardJob:
         checkpoint_path = None
         if checkpointed and self.checkpoint_dir:
             checkpoint_path = os.path.join(self.checkpoint_dir,
                                            "shard-%03d.ckpt" % index)
         plan = self.fault_plan.fresh_copy() if self.fault_plan else None
-        return ShardJob(spec=self.spec, shard=self.layout.info(index),
+        return ShardJob(population=self.population(),
+                        shard=self.layout.info(index),
                         profile=self.profile,
                         consent_policy=self.consent_policy,
                         automated=self.automated, fault_plan=plan,
@@ -647,5 +608,4 @@ class ParallelCrawler:
                         checkpoint_path=checkpoint_path,
                         trace=self.recorder is not None,
                         progress=self.progress is not None,
-                        resources=self.resources,
-                        assets=self._assets_spec)
+                        resources=self.resources)

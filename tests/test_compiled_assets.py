@@ -3,8 +3,7 @@
 :class:`repro.core.CompiledStudyAssets` is the single construction path
 for the crawl/analyze hot path's shared state; these tests pin down
 
-* the API surface (construction, spec round-trip, process memo, seeding,
-  eviction, detector/token factories),
+* the API surface (construction, detector/token factories),
 * the process token-set memo: one set per (persona, token config),
   shared across populations, studies and service jobs without changing
   a trace, a result or a fingerprint,
@@ -26,10 +25,8 @@ import pytest
 
 from repro.core import CompiledStudyAssets, Study, StudyConfig
 from repro.core.assets import (
-    _PROCESS_ASSETS,
-    _PROCESS_ASSETS_LIMIT,
     _PROCESS_TOKENS,
-    StudyAssetsSpec,
+    _PROCESS_TOKENS_LIMIT,
     clear_process_assets,
 )
 from repro.core.detector import DetectionResult
@@ -119,7 +116,7 @@ def test_study_config_accepts_a_shared_bundle():
 
 
 # ---------------------------------------------------------------------------
-# Construction, spec round-trip, and the process memo.
+# Construction.
 # ---------------------------------------------------------------------------
 
 def test_for_population_exposes_identity():
@@ -127,36 +124,6 @@ def test_for_population_exposes_identity():
     assert assets.persona is assets.population.persona
     assert assets.catalog is assets.population.catalog
     assert assets.tokens() is assets.tokens()  # compiled once
-
-
-def test_spec_requires_a_population_spec():
-    population = _spec(0).build()
-    bare = CompiledStudyAssets.for_population(population)
-    with pytest.raises(ValueError):
-        bare.spec()
-
-
-def test_spec_round_trip_memoises_per_process():
-    spec = _assets(3).spec()
-    first = spec.compiled()
-    assert spec.compiled() is first
-    # An equal-by-value recipe resolves to the same bundle.
-    assert StudyAssetsSpec(population_spec=_spec(3)).compiled() is first
-    clear_process_assets()
-    assert spec.compiled() is not first
-
-
-def test_seed_prepopulates_the_memo():
-    assets = _assets(4)
-    spec = assets.spec()
-    spec.seed(assets)
-    assert spec.compiled() is assets
-
-
-def test_memo_eviction_is_bounded():
-    for seed in range(_PROCESS_ASSETS_LIMIT + 2):
-        StudyAssetsSpec(population_spec=_spec(seed)).compiled()
-    assert len(_PROCESS_ASSETS) == _PROCESS_ASSETS_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +204,11 @@ def test_clear_process_assets_drops_the_token_set():
 
 def test_token_memo_is_bounded(build_count):
     configs = [TokenSetConfig(max_depth=1, min_token_length=6 + index)
-               for index in range(_PROCESS_ASSETS_LIMIT + 2)]
+               for index in range(_PROCESS_TOKENS_LIMIT + 2)]
     for config in configs:
         _persona_assets(token_config=config).tokens()
-        assert len(_PROCESS_TOKENS) <= _PROCESS_ASSETS_LIMIT
-    assert len(_PROCESS_TOKENS) == _PROCESS_ASSETS_LIMIT
+        assert len(_PROCESS_TOKENS) <= _PROCESS_TOKENS_LIMIT
+    assert len(_PROCESS_TOKENS) == _PROCESS_TOKENS_LIMIT
     # FIFO: the oldest configs were evicted and rebuild on demand.
     assert (DEFAULT_PERSONA, configs[0]) not in _PROCESS_TOKENS
     assert (DEFAULT_PERSONA, configs[-1]) in _PROCESS_TOKENS
@@ -302,7 +269,7 @@ def test_racing_threads_share_one_set_per_key():
     assert list(memo) == [(DEFAULT_PERSONA, _SHALLOW)]
     assert any(_shared(tokens, memo[(DEFAULT_PERSONA, _SHALLOW)])
                for tokens in shared)
-    assert len(_PROCESS_TOKENS) == _PROCESS_ASSETS_LIMIT
+    assert len(_PROCESS_TOKENS) == _PROCESS_TOKENS_LIMIT
 
 
 def _job(seed: int) -> JobSpec:

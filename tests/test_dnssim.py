@@ -112,10 +112,11 @@ def test_pickled_session_carries_no_resolver_memo():
         n_sites=4, n_trackers=3))
     session = StudyCrawler(population).start()
     session.step()
-    assert session.browser.resolver._memo
-    blob = pickle.dumps(session)
-    assert b"_memo" not in blob
-    restored = pickle.loads(blob)
+    resolver = session.browser.resolver
+    assert resolver._memo
+    state = resolver.__getstate__()
+    assert "_memo" not in state and "_memo_revision" not in state
+    restored = pickle.loads(pickle.dumps(session))
     assert restored.browser.resolver._memo == {}
     assert restored.run().fingerprint() == session.run().fingerprint()
 

@@ -11,7 +11,6 @@ from repro.crawler import (
     CrawlSession,
     GeneratedPopulationSpec,
     ParallelCrawler,
-    PrebuiltPopulationSpec,
     ShardLayout,
     StudyCrawler,
     default_shard_count,
@@ -136,12 +135,41 @@ def test_single_shard_engine_matches_legacy_serial_crawl():
 
 
 def test_prebuilt_population_spec_matches_generated_spec():
+    """A prebuilt, live population crawls like the spec that built it."""
     population = generate_population(seed=3, config=_CONFIG)
-    via_prebuilt = ParallelCrawler(PrebuiltPopulationSpec(population),
-                                   workers=1, num_shards=3).crawl()
+    via_prebuilt = ParallelCrawler(population, workers=1,
+                                   num_shards=3).crawl()
     via_generated = ParallelCrawler(_spec(3), workers=1,
                                     num_shards=3).crawl()
     assert via_prebuilt.fingerprint() == via_generated.fingerprint()
+
+
+def _calibrated_population():
+    from repro.websim.shopping import build_study_population
+    return build_study_population().population
+
+
+def _population_bytes(population):
+    # The tracker catalog's host memo caches a pure lookup; it is the
+    # one thing a crawl may fill.
+    population.catalog._host_cache.clear()
+    return pickle.dumps(population)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: generate_population(seed=5, config=GeneratorConfig(
+        n_sites=24, n_trackers=6)),
+    _calibrated_population,
+], ids=["generated", "calibrated"])
+def test_a_crawl_leaves_its_population_as_it_found_it(build):
+    """Shards and the caller crawl one live population object, which is
+    safe only while a crawl never changes it."""
+    population = build()
+    before = _population_bytes(population)
+    plan = FaultPlan(seed=11, transient_rate=0.25, dead_rate=0.1)
+    dataset = StudyCrawler(population, fault_plan=plan).crawl()
+    assert plan.events and dataset.log.entries
+    assert _population_bytes(population) == before
 
 
 def test_run_reports_layout_workers_and_fault_events():
@@ -263,7 +291,7 @@ def test_rerun_of_a_finished_shard_finishes_again_from_its_journal(
 
     def run():
         return run_shard_job(ShardJob(
-            spec=PrebuiltPopulationSpec(population), shard=layout.info(index),
+            population=population, shard=layout.info(index),
             fault_plan=FaultPlan(seed=9, transient_rate=0.25),
             checkpoint_path=path, trace=True))
 

@@ -160,6 +160,28 @@ def test_fingerprint_parity_with_cli_study_crawl(workers):
     assert dataset.fingerprint() == served.fingerprint
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_served_job_builds_its_population_once(workers, tmp_path,
+                                                 monkeypatch):
+    """Every shard crawls the population the parent built: neither a
+    worker nor a second path in the parent builds another."""
+    import repro.websim.generator as generator
+    from repro.core.assets import clear_process_assets
+    clear_process_assets()  # as cold as a fresh service process
+    builds = tmp_path / "builds"
+    build = generator.generate_population
+
+    def counted(*args, **kwargs):
+        with open(builds, "a") as handle:
+            handle.write("%d\n" % os.getpid())
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(generator, "generate_population", counted)
+    outcome = JobRun(dataclasses.replace(TINY, workers=workers)).execute()
+    assert outcome.state == STATE_COMPLETE
+    assert builds.read_text().split() == [str(os.getpid())]
+
+
 def test_job_run_failure_is_captured_not_raised(monkeypatch):
     spec = JobSpec(seed=1, sites=4)
     run = JobRun(spec)

@@ -436,9 +436,9 @@ def test_seeded_handle_in_service_spec_fails_gate(tmp_path, capsys):
 #
 # The compile-once layers added for the hot path — the PSL's caches, the
 # Aho-compiled blocklist matcher, and repro.core.assets — sit directly
-# under the fingerprint-invariance contract, and StudyAssetsSpec rides
-# shard-job pickles.  Pin them in scope so any nondeterminism (or
-# unpicklable state on the spec) trips the gate.
+# under the fingerprint-invariance contract, and repro.core.assets is in
+# the pickle scope too.  Pin them in scope so any nondeterminism (or
+# unpicklable state on an assets class) trips the gate.
 
 
 def test_hot_path_modules_are_in_scope():
@@ -480,8 +480,8 @@ def test_seeded_builtin_hash_in_matcher_fails_gate(tmp_path, capsys):
 
 
 def test_seeded_handle_on_assets_spec_fails_gate(tmp_path, capsys):
-    """PKL303 covers StudyAssetsSpec: the recipe crosses the shard-job
-    pickle boundary, so live handles on spec-like state must trip."""
+    """PKL303 covers repro.core.assets: a live handle on an assets-like
+    class there must trip the gate."""
     code = _seed(tmp_path, "repro/core/assets/seeded.py", textwrap.dedent("""
         import threading
 
