@@ -90,3 +90,16 @@ def test_bench_wire_serialization(benchmark):
         body=b"udff%5Bem%5D=" + b"a" * 64)
     raw = serialize_request(request)
     benchmark(parse_request, raw)
+
+
+def test_bench_calibrated_population_build(benchmark, monkeypatch):
+    """The paper-calibrated population, built without the Tranco
+    universe that only the selection report reads."""
+    from repro.websim import shopping
+    universes = []
+    monkeypatch.setattr(shopping, "build_tranco_universe",
+                        lambda *args, **kwargs: universes.append(args))
+    spec = benchmark.pedantic(shopping.build_study_population,
+                              rounds=2, iterations=1)
+    assert len(spec.population.sites) == 404
+    assert universes == []

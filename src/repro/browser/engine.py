@@ -13,7 +13,7 @@ a :class:`~repro.netsim.CaptureLog` — the raw dataset all analyses consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dnssim import Resolver
 from ..netsim import (
@@ -49,6 +49,7 @@ from ..websim.scripts import (
     EmitRequest,
     ScriptContext,
     SetFirstPartyCookie,
+    SnippetPings,
     StoreTrackerState,
     baseline_actions,
     exfil_actions,
@@ -76,13 +77,14 @@ _MAX_REDIRECTS = 5
 _RESOURCE_URL_MEMO = 256
 
 #: Header fields, header blocks and page contexts a browser keeps for
-#: reuse before it starts over (see :func:`_shared`,
-#: :meth:`Browser._page`).
+#: reuse before it starts over (see :meth:`Browser._field`,
+#: :meth:`Browser._headers`, :meth:`Browser._page`).
 _PART_MEMO = 256
 _PAGE_MEMO = 256
 
-#: A request header field, or a request's whole block of fields.
-_Part = TypeVar("_Part", Tuple[str, str], Tuple[Tuple[str, str], ...])
+#: A request header field, and a request's whole block of fields.
+_Field = Tuple[str, str]
+_Block = Tuple[_Field, ...]
 
 _AUTOMATION_FIELD = ("Sec-Automation", "true")
 
@@ -104,11 +106,12 @@ class SimClock:
 class _PageContext:
     """What every request a page makes shares, built once per page URL:
     the page's URL, that URL as text (each request's ``page_url`` and
-    full-URL ``Referer``), the initiator chain, the ``Referer`` fields
-    and the snippets' page-load ping query."""
+    full-URL ``Referer``), the initiator chain, the ``Referer`` fields,
+    the snippets' page-load ping query, and per tracker snippet its
+    initiator chain and ping URLs (see :meth:`Browser._snippet`)."""
 
     __slots__ = ("url", "text", "chain", "referer", "_origin_referer",
-                 "_page_view")
+                 "_page_view", "snippets")
 
     def __init__(self, url: Url, text: str) -> None:
         self.url = url
@@ -117,6 +120,9 @@ class _PageContext:
         self.referer = ("Referer", self.text)
         self._origin_referer: Optional[Tuple[str, str]] = None
         self._page_view: Optional[Tuple[Tuple[str, str], ...]] = None
+        #: (site, tracker domain) -> (snippet chain, snippet pings).
+        self.snippets: Dict[Tuple[str, str],
+                            Tuple[Tuple[Url, ...], SnippetPings]] = {}
 
     @property
     def origin_referer(self) -> Tuple[str, str]:
@@ -197,11 +203,11 @@ class Browser:
         self._script_urls: Dict[Tuple[str, str], Url] = {}
         #: absolute subresource reference -> its parsed URL.
         self._resource_urls: Dict[str, Url] = {}
-        #: Header fields and whole header blocks: each the one tuple
-        #: with its value that requests share (see :func:`_shared`).
-        self._fields: Dict[Tuple[str, str], Tuple[str, str]] = {}
-        self._blocks: Dict[Tuple[Tuple[str, str], ...],
-                           Tuple[Tuple[str, str], ...]] = {}
+        #: Header fields and whole header blocks: each field the one
+        #: tuple, each block the one ``Headers``, with its value that
+        #: requests share (see :meth:`_field`, :meth:`_headers`).
+        self._fields: Dict[_Field, _Field] = {}
+        self._blocks: Dict[_Block, Headers] = {}
         #: page URL text -> the page's context.
         self._pages: Dict[str, _PageContext] = {}
         self._captcha_ready: Dict[str, bool] = {}
@@ -419,18 +425,33 @@ class Browser:
             return
         stored = {service: dict(params) for service, params
                   in self.tracker_storage.get(site.domain, {}).items()}
+        chain, pings = self._snippet(site, embed.service, context)
         ctx = ScriptContext(site=site, page_url=context.url, stage=stage,
                             pii=dict(self._page_pii), stored_state=stored,
                             timestamp=self.clock.now(),
-                            page_view=context.page_view)
+                            page_view=context.page_view, pings=pings)
         actions = list(baseline_actions(embed, ctx))
         if self._page_pii and embed.leaks:
             actions.extend(exfil_actions(embed, ctx))
         else:
             actions.extend(revisit_actions(embed, ctx))
-        chain = (context.url, self._script_url(embed.service))
         for action in actions:
             self._execute_action(site, action, context, chain, stage)
+
+    def _snippet(self, site: Website, service: TrackerService,
+                  context: _PageContext
+                  ) -> Tuple[Tuple[Url, ...], SnippetPings]:
+        """The initiator chain (page, script) of ``service``'s snippet on
+        the page, and its ping URLs: one of each per (page, tracker), so
+        a page loaded again sends the snippet's pings with the same
+        chain and ``Url`` objects."""
+        key = (site.domain, service.domain)
+        parts = context.snippets.get(key)
+        if parts is None:
+            parts = context.snippets[key] = (
+                (context.url, self._script_url(service)),
+                SnippetPings(service, site, context.page_view))
+        return parts
 
     def _script_url(self, service: TrackerService) -> Url:
         """The snippet's script URL, built once per script location."""
@@ -473,15 +494,16 @@ class Browser:
         """Send one request (following redirects); returns (response, url).
 
         ``referer`` is the ``Referer`` header field, if any.  Repeated
-        fields and whole header blocks are shared tuples, not equal
-        copies: one ``Referer`` per page URL, one ``Cookie`` per value.
+        fields are shared tuples and repeated header blocks one shared
+        ``Headers``, not equal copies: one ``Referer`` per page URL, one
+        ``Cookie`` per value.  A shared ``Headers`` is read-only: the
+        firewall edits a copy.
         """
         fields = [self.profile.user_agent_field]
         if referer:
             fields.append(referer)
         if content_type:
-            fields.append(_shared(self._fields,
-                                  ("Content-Type", content_type)))
+            fields.append(self._field(("Content-Type", content_type)))
         if self.profile.automation_detectable:
             fields.append(_AUTOMATION_FIELD)
 
@@ -492,12 +514,10 @@ class Browser:
             cookie_value = self.jar.cookie_header(url, self.clock.now(),
                                                   partition)
             if cookie_value:
-                fields.append(_shared(self._fields,
-                                      ("Cookie", cookie_value)))
+                fields.append(self._field(("Cookie", cookie_value)))
 
         request = HttpRequest(method=method, url=url,
-                              headers=Headers(_shared(self._blocks,
-                                                      tuple(fields))),
+                              headers=self._headers(tuple(fields)),
                               body=body, resource_type=resource_type,
                               initiator_chain=initiator_chain,
                               timestamp=self.clock.tick())
@@ -619,10 +639,11 @@ class Browser:
 
     def _retry_request(self, request: HttpRequest, policy: RetryPolicy,
                        attempt: int, host: str) -> HttpRequest:
-        """Back off, then rebuild the request with a fresh timestamp."""
+        """Back off, then rebuild the request with a fresh timestamp (and
+        the same, read-only, ``Headers``)."""
         self.clock.tick(policy.backoff_delay(attempt, host))
         return HttpRequest(method=request.method, url=request.url,
-                           headers=request.headers.copy(),
+                           headers=request.headers,
                            body=request.body,
                            resource_type=request.resource_type,
                            initiator_chain=request.initiator_chain,
@@ -673,6 +694,27 @@ class Browser:
             return service.domain
         return default_list().registrable_domain(host) or host
 
+    def _field(self, field: _Field) -> _Field:
+        """``field``, or the equal one handed out before, so equal request
+        header fields are one tuple.  The memo starts over when full to
+        stay small in a long crawl."""
+        shared = self._fields.get(field)
+        if shared is None:
+            if len(self._fields) >= _PART_MEMO:
+                self._fields.clear()
+            shared = self._fields[field] = field
+        return shared
+
+    def _headers(self, block: _Block) -> Headers:
+        """The one ``Headers`` holding ``block``, so requests with equal
+        header blocks share it.  The memo starts over when full."""
+        headers = self._blocks.get(block)
+        if headers is None:
+            if len(self._blocks) >= _PART_MEMO:
+                self._blocks.clear()
+            headers = self._blocks[block] = Headers(block)
+        return headers
+
     def _referer_field(self, context: _PageContext,
                        target: Url) -> Tuple[str, str]:
         """``Referer`` field of a subresource request under the
@@ -681,18 +723,6 @@ class Browser:
                 default_list().is_third_party(target.host, context.url.host):
             return context.origin_referer
         return context.referer
-
-
-def _shared(memo: Dict[_Part, _Part], part: _Part) -> _Part:
-    """``part``, or the equal one ``memo`` handed out before, so equal
-    request header fields and blocks are one tuple.  The memo starts
-    over when full to stay small in a long crawl."""
-    shared = memo.get(part)
-    if shared is None:
-        if len(memo) >= _PART_MEMO:
-            memo.clear()
-        shared = memo[part] = part
-    return shared
 
 
 def _pii_from_fields(fields: Dict[str, str]) -> Dict[str, str]:

@@ -9,6 +9,9 @@ Barreto-Rijmen specification:
 * the diffusion layer multiplies state rows by the circulant matrix
   ``cir(1, 1, 4, 1, 8, 5, 2, 9)`` over GF(2^8) with the reduction polynomial
   ``x^8 + x^4 + x^3 + x^2 + 1`` (0x11D);
+* a round's SubBytes, ShiftColumns and MixRows are one lookup per state
+  byte in eight 256-entry tables of 64-bit rows, built at import from the
+  S-box and the matrix, as in the reference implementation;
 * the hash construction is Miyaguchi-Preneel over the 512-bit block cipher W.
 
 Verified against the official ISO test vectors in the test suite.
@@ -16,7 +19,7 @@ Verified against the official ISO test vectors in the test suite.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
 _ROUNDS = 10
 _POLY = 0x11D
@@ -44,74 +47,65 @@ def _build_sbox() -> bytes:
 
 
 _SBOX = _build_sbox()
+_MASK = (1 << 64) - 1
 
 
-def _gf_mul(a: int, b: int) -> int:
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a <<= 1
-        if a & 0x100:
-            a ^= _POLY
-        b >>= 1
-    return result & 0xFF
+def _xtime(a: int) -> int:
+    """``a`` times x in GF(2^8) modulo ``_POLY``."""
+    a <<= 1
+    return a ^ _POLY if a & 0x100 else a
 
 
-def _build_mul_tables() -> dict:
-    tables = {}
-    for weight in set(_CIR):
-        tables[weight] = bytes(_gf_mul(weight, x) for x in range(256))
-    return tables
+def _build_tables() -> Tuple[Tuple[int, ...], ...]:
+    """Eight 256-entry tables that fold SubBytes, ShiftColumns and
+    MixRows into one lookup per state byte.
+
+    Table ``k`` maps byte ``x`` in column ``k`` to the row it adds to
+    its output row: byte ``j`` of that row is ``S[x] * cir[(j - k) % 8]``.
+    So table ``k`` is table 0 rotated right by ``k`` bytes.
+    """
+    first = []
+    for x in range(256):
+        s1 = _SBOX[x]
+        s2 = _xtime(s1)
+        s4 = _xtime(s2)
+        s8 = _xtime(s4)
+        product = {1: s1, 2: s2, 4: s4, 5: s4 ^ s1, 8: s8, 9: s8 ^ s1}
+        first.append(int.from_bytes(bytes(product[c] for c in _CIR),
+                                    "big"))
+    return tuple(tuple(((w >> (8 * k)) | (w << (64 - 8 * k))) & _MASK
+                       for w in first)
+                 for k in range(8))
 
 
-_MUL = _build_mul_tables()
+_T0, _T1, _T2, _T3, _T4, _T5, _T6, _T7 = _build_tables()
 
-# Round constants: rc[r] is a 64-byte state with the first row taken from
-# consecutive S-box entries and the remaining rows zero.
-_RC = [
-    bytes(_SBOX[8 * (r - 1) + j] for j in range(8)) + bytes(56)
-    for r in range(1, _ROUNDS + 1)
-]
+# Round constants: the first row of rc[r] is eight consecutive S-box
+# entries; the other rows are zero.
+_RC = tuple(int.from_bytes(_SBOX[8 * r:8 * r + 8], "big")
+            for r in range(_ROUNDS))
 
 
-def _sub_bytes(state: bytearray) -> bytearray:
-    return bytearray(_SBOX[b] for b in state)
+def _rho(r: Sequence[int]) -> List[int]:
+    """SubBytes, ShiftColumns and MixRows of a state held as eight
+    big-endian 64-bit rows: output row ``i`` takes column ``k`` from
+    row ``i - k`` (mod 8)."""
+    return [_T0[r[i] >> 56] ^ _T1[(r[i - 1] >> 48) & 255]
+            ^ _T2[(r[i - 2] >> 40) & 255] ^ _T3[(r[i - 3] >> 32) & 255]
+            ^ _T4[(r[i - 4] >> 24) & 255] ^ _T5[(r[i - 5] >> 16) & 255]
+            ^ _T6[(r[i - 6] >> 8) & 255] ^ _T7[r[i - 7] & 255]
+            for i in range(8)]
 
 
-def _shift_columns(state: bytearray) -> bytearray:
-    # Column j is cyclically shifted downwards by j positions.
-    out = bytearray(64)
-    for i in range(8):
-        for j in range(8):
-            out[((i + j) % 8) * 8 + j] = state[i * 8 + j]
-    return out
-
-
-def _mix_rows(state: bytearray) -> bytearray:
-    out = bytearray(64)
-    for i in range(8):
-        row = state[i * 8:(i + 1) * 8]
-        for j in range(8):
-            acc = 0
-            for k in range(8):
-                acc ^= _MUL[_CIR[(j - k) % 8]][row[k]]
-            out[i * 8 + j] = acc
-    return out
-
-
-def _add_key(state: bytearray, key: bytes) -> bytearray:
-    return bytearray(s ^ k for s, k in zip(state, key))
-
-
-def _w_cipher(key_bytes: bytes, block: bytes) -> bytes:
-    key = bytearray(key_bytes)
-    state = _add_key(bytearray(block), key)
-    for round_index in range(_ROUNDS):
-        key = _add_key(_mix_rows(_shift_columns(_sub_bytes(key))),
-                       _RC[round_index])
-        state = _add_key(_mix_rows(_shift_columns(_sub_bytes(state))), key)
-    return bytes(state)
+def _w_cipher(key: List[int], block: List[int]) -> List[int]:
+    """The block cipher W: ``block`` encrypted under ``key``, both as
+    eight 64-bit rows."""
+    state = [s ^ k for s, k in zip(block, key)]
+    for constant in _RC:
+        key = _rho(key)
+        key[0] ^= constant
+        state = [s ^ k for s, k in zip(_rho(state), key)]
+    return state
 
 
 def _pad(message: bytes) -> bytes:
@@ -123,14 +117,15 @@ def _pad(message: bytes) -> bytes:
 
 def whirlpool_digest(message: bytes) -> bytes:
     """Return the 64-byte Whirlpool digest of ``message``."""
-    state = bytes(64)
+    state = [0] * 8
     padded = _pad(message)
     for offset in range(0, len(padded), 64):
-        block = padded[offset:offset + 64]
+        block = [int.from_bytes(padded[at:at + 8], "big")
+                 for at in range(offset, offset + 64, 8)]
         encrypted = _w_cipher(state, block)
         # Miyaguchi-Preneel chaining.
-        state = bytes(e ^ b ^ s for e, b, s in zip(encrypted, block, state))
-    return state
+        state = [e ^ b ^ s for e, b, s in zip(encrypted, block, state)]
+    return b"".join(row.to_bytes(8, "big") for row in state)
 
 
 def whirlpool_hexdigest(message: bytes) -> str:

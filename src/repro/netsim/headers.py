@@ -37,17 +37,19 @@ class Headers:
                             if n.lower() != lowered)
 
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
-        """First value for ``name``, or ``default``."""
+        """First value for ``name``, or ``default``.  A field named as
+        asked matches before any case-folding."""
         lowered = name.lower()
         for n, v in self._items:
-            if n.lower() == lowered:
+            if n == name or n.lower() == lowered:
                 return v
         return default
 
     def get_all(self, name: str) -> List[str]:
         """All values for ``name``, in insertion order."""
         lowered = name.lower()
-        return [v for n, v in self._items if n.lower() == lowered]
+        return [v for n, v in self._items
+                if n == name or n.lower() == lowered]
 
     def items(self) -> List[Tuple[str, str]]:
         """All (name, value) pairs in insertion order."""

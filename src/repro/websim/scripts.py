@@ -82,10 +82,50 @@ class ScriptContext:
     #: ``page_url``: a browser builds it once per page for every snippet
     #: the page runs.
     page_view: Optional[Tuple[Tuple[str, str], ...]] = None
+    #: The running snippet's :class:`SnippetPings` on this page, which a
+    #: browser builds once per (page, tracker); None builds them afresh.
+    pings: Optional["SnippetPings"] = None
 
     def __post_init__(self) -> None:
         if self.page_view is None:
             self.page_view = page_view_query(self.page_url)
+
+
+class SnippetPings:
+    """The ping URLs a snippet sends from a page whatever the page
+    exposes: ``load``, the page-load ping, whose query is
+    :func:`page_view_query` of the page, and ``beacon``, the bare
+    ``PageView`` beacon that only cookie-channel snippets send (built on
+    first use).  Every load of a page that shares one sends the same
+    ``Url`` objects."""
+
+    __slots__ = ("_host", "_path", "load", "_beacon")
+
+    def __init__(self, service: TrackerService, site: Website,
+                 page_view: Tuple[Tuple[str, str], ...]) -> None:
+        self._host = _endpoint_host(service, site)
+        self._path = service.endpoint_path
+        self.load = Url(scheme="https", host=self._host, path=self._path,
+                        query=page_view)
+        self._beacon: Optional[Url] = None
+
+    @property
+    def beacon(self) -> Url:
+        if self._beacon is None:
+            self._beacon = Url(scheme="https", host=self._host,
+                               path=self._path, query=(("ev", "PageView"),))
+        return self._beacon
+
+
+def _pings(embed: TrackerEmbed, ctx: ScriptContext) -> SnippetPings:
+    if ctx.pings is not None:
+        return ctx.pings
+    return SnippetPings(embed.service, ctx.site, ctx.page_view)
+
+
+def _beacon_request(embed: TrackerEmbed, ctx: ScriptContext) -> EmitRequest:
+    return EmitRequest(method="GET", url=_pings(embed, ctx).beacon,
+                       resource_type=RESOURCE_IMAGE)
 
 
 def page_view_query(page_url: Url) -> Tuple[Tuple[str, str], ...]:
@@ -185,10 +225,8 @@ def baseline_actions(embed: TrackerEmbed, ctx: ScriptContext) -> List[Action]:
     A plain event ping (no PII) — the background tracking traffic that
     exists whether or not the site leaks.
     """
-    service = embed.service
-    url = Url(scheme="https", host=_endpoint_host(service, ctx.site),
-              path=service.endpoint_path, query=ctx.page_view)
-    return [EmitRequest(method="GET", url=url, resource_type=RESOURCE_IMAGE)]
+    return [EmitRequest(method="GET", url=_pings(embed, ctx).load,
+                        resource_type=RESOURCE_IMAGE)]
 
 
 def exfil_actions(embed: TrackerEmbed, ctx: ScriptContext) -> List[Action]:
@@ -216,8 +254,7 @@ def exfil_actions(embed: TrackerEmbed, ctx: ScriptContext) -> List[Action]:
             actions.append(SetFirstPartyCookie(
                 name=behavior.cookie_name, value=primary_value,
                 domain=ctx.site.domain))
-            actions.append(_uri_request(service, ctx.site, [],
-                                        event="PageView"))
+            actions.append(_beacon_request(embed, ctx))
     if service.persistent:
         actions.append(StoreTrackerState(service_domain=service.domain,
                                          values=tuple(params)))
@@ -243,5 +280,5 @@ def revisit_actions(embed: TrackerEmbed, ctx: ScriptContext) -> List[Action]:
         return [_payload_request(service, ctx.site, behavior, params)]
     if behavior is not None and CHANNEL_COOKIE in behavior.channels:
         # The first-party cookie persists; the beacon keeps carrying it.
-        return [_uri_request(service, ctx.site, [], event="PageView")]
+        return [_beacon_request(embed, ctx)]
     return [_uri_request(service, ctx.site, params, event="PageView")]

@@ -58,9 +58,11 @@ _GIF_FIELDS = (("Content-Type", "image/gif"),)
 _JSON_FIELDS = (("Content-Type", "application/json"),)
 _HTML_FIELD = ("Content-Type", "text/html; charset=utf-8")
 
-#: Sites whose page parts a server keeps before it starts over (see
-#: :meth:`WebServer._site_parts`).
+#: Sites whose page parts, and distinct pages whose bodies, a server
+#: keeps before it starts over (see :meth:`WebServer._site_parts`,
+#: :meth:`WebServer._page`).
 _SITE_MEMO = 256
+_BODY_MEMO = 256
 
 
 @dataclass
@@ -69,10 +71,11 @@ class WebServer:
 
     A reply that repeats is one shared object: the tracker replies that
     mint no cookie, the CMP's, the fixed redirects and error pages (see
-    :meth:`_reply`), and per site the header fields and script block of
-    its pages (see :meth:`_site_parts`).  The capture log then holds,
-    pickles and ships each once.  Shared parts are read-only: nothing
-    edits a response or its ``Headers`` after the server returns it.
+    :meth:`_reply`), per site the ``Headers`` and script block of its
+    pages (see :meth:`_site_parts`), and per distinct page its body
+    bytes.  The capture log then holds, pickles and ships each once.
+    Shared parts are read-only: nothing edits a response or its
+    ``Headers`` after the server returns it.
     """
 
     sites: Dict[str, Website]
@@ -88,8 +91,11 @@ class WebServer:
     #: (status, header fields, body) -> the one reply with those parts.
     _replies: Dict[Tuple[int, _Fields, bytes], HttpResponse] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    #: site domain -> (page header fields, script block).
-    _parts_by_site: Dict[str, Tuple[_Fields, ScriptBlock]] = field(
+    #: site domain -> (page headers, script block).
+    _parts_by_site: Dict[str, Tuple[Headers, ScriptBlock]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    #: rendered page -> its one body.
+    _bodies: Dict[str, bytes] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     # -- checkpoint journal ----------------------------------------------
@@ -196,8 +202,10 @@ class WebServer:
         """A first-party page: ``heading``, then ``links`` (href, text)
         or ``form``, then the site's consent, tracker and captcha
         scripts.  The response carries the parsed page beside the bytes
-        (see :class:`~repro.websim.html.PageWriter`)."""
-        fields, scripts = self._site_parts(site)
+        (see :class:`~repro.websim.html.PageWriter`).  A page rendered
+        again shares the earlier one's body; the memo starts over when
+        full to stay small."""
+        headers, scripts = self._site_parts(site)
         writer = PageWriter(heading)
         for href, text in links:
             writer.link(href, text)
@@ -205,12 +213,17 @@ class WebServer:
             writer.form(form.action, form.method, form.form_id,
                         [(f.name, f.kind, f.value) for f in form.fields])
         writer.scripts(scripts)
-        body = writer.document("%s - %s" % (site.domain, title))
-        return HttpResponse(status=200, headers=Headers(fields),
-                            body=body.encode("utf-8"), page=writer.page)
+        html = writer.document("%s - %s" % (site.domain, title))
+        body = self._bodies.get(html)
+        if body is None:
+            if len(self._bodies) >= _BODY_MEMO:
+                self._bodies.clear()
+            body = self._bodies[html] = html.encode("utf-8")
+        return HttpResponse(status=200, headers=headers, body=body,
+                            page=writer.page)
 
-    def _site_parts(self, site: Website) -> Tuple[_Fields, ScriptBlock]:
-        """What every page of ``site`` shares: its header fields (the
+    def _site_parts(self, site: Website) -> Tuple[Headers, ScriptBlock]:
+        """What every page of ``site`` shares: its ``Headers`` (the
         content type and the site's deterministic ``session`` cookie)
         and its consent, tracker and captcha scripts, built once per
         site.  The memo starts over when full to stay small."""
@@ -233,12 +246,13 @@ class WebServer:
             scripts.append({
                 "src": "https://ct.%s/challenge.js" % CAPTCHA_PROVIDER,
                 "data-captcha": "1"})
-        fields = (_HTML_FIELD,
-                  ("Set-Cookie", "session=%s; Path=/; Max-Age=86400"
-                   % _session_token(site.domain)))
+        headers = Headers((
+            _HTML_FIELD,
+            ("Set-Cookie", "session=%s; Path=/; Max-Age=86400"
+             % _session_token(site.domain))))
         if len(self._parts_by_site) >= _SITE_MEMO:
             self._parts_by_site.clear()
-        parts = self._parts_by_site[site.domain] = (fields,
+        parts = self._parts_by_site[site.domain] = (headers,
                                                     ScriptBlock(scripts))
         return parts
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.persona import DEFAULT_PERSONA, Persona
 from .consent import CMP_PROVIDERS, ConsentBanner
@@ -35,7 +35,12 @@ from .calibration import (
     build_plan,
 )
 from .population import Population
-from .tranco import CategoryDataset, RankedSite, build_tranco_universe
+from .tranco import (
+    CategoryDataset,
+    RankedSite,
+    build_tranco_universe,
+    shopping_ranks,
+)
 from .site import (
     BLOCK_IDENTITY,
     BLOCK_PHONE,
@@ -104,14 +109,31 @@ class StudySpec:
     leaking_domains: List[str]                # the 130
     referer_receiver_domains: List[str]       # the 7 passive receivers
     nonleaking_successful: List[str]
-    #: The §3.2 acquisition context: the ranked top-10k universe the 404
-    #: shopping sites were selected from, plus the category dataset.
-    tranco: List[RankedSite] = field(default_factory=list)
-    categories: Optional[CategoryDataset] = None
+    _universe: Optional[Tuple[List[RankedSite], CategoryDataset]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def catalog(self) -> TrackerCatalog:
         return self.population.catalog
+
+    # The §3.2 acquisition context: the ranked top-10k universe the 404
+    # shopping sites were selected from, plus the category dataset.  Only
+    # the selection report reads it, so it is built on first read; each
+    # site's ``tranco_rank`` already holds its rank in it.
+
+    @property
+    def tranco(self) -> List[RankedSite]:
+        return self._acquisition()[0]
+
+    @property
+    def categories(self) -> CategoryDataset:
+        return self._acquisition()[1]
+
+    def _acquisition(self) -> Tuple[List[RankedSite], CategoryDataset]:
+        if self._universe is None:
+            self._universe = build_tranco_universe(
+                list(self.population.sites))
+        return self._universe
 
 
 def _leak_behavior(edge: EdgeSpec) -> LeakBehavior:
@@ -275,12 +297,10 @@ def build_study_population(persona: Optional[Persona] = None) -> StudySpec:
         spam = 3 if 10 <= index < 57 else 0
         sites[domain].marketing_mail = (inbox, spam)
 
-    # ---- §3.2 acquisition context: rank the 404 study sites inside a
-    # Tranco-style top-10k universe and record the category dataset.
-    ranked, categories = build_tranco_universe(list(sites))
-    rank_of = {site.domain: site.rank for site in ranked}
-    for domain, site in sites.items():
-        site.tranco_rank = rank_of[domain]
+    # ---- §3.2 acquisition context: each study site's rank in the
+    # Tranco-style top-10k universe (see StudySpec.tranco).
+    for site, rank in zip(sites.values(), shopping_ranks(len(sites))):
+        site.tranco_rank = rank
 
     population = Population(sites=sites, catalog=catalog,
                             persona=persona or DEFAULT_PERSONA)
@@ -288,5 +308,4 @@ def build_study_population(persona: Optional[Persona] = None) -> StudySpec:
                      slot_domains=slot_domains,
                      leaking_domains=leaking_domains,
                      referer_receiver_domains=referer_receivers,
-                     nonleaking_successful=nonleaking,
-                     tranco=ranked, categories=categories)
+                     nonleaking_successful=nonleaking)

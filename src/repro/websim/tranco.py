@@ -7,7 +7,8 @@ module reproduces that acquisition step over the synthetic web:
 
 * :func:`build_tranco_universe` — a deterministic ranked top-N list in
   which the study's 404 shopping domains are embedded among ~9,600
-  other-category sites;
+  other-category sites; :func:`shopping_ranks` is its first draw alone,
+  the ranks those domains get, for a caller that needs no more;
 * :class:`CategoryDataset` — the FortiGuard stand-in: a domain → category
   mapping with the same query surface (classify one domain, count a
   category);
@@ -82,6 +83,23 @@ class CategoryDataset:
         return len(self._assignments)
 
 
+def _draw_shopping_ranks(rng: random.Random, count: int,
+                         total: int) -> List[int]:
+    """The universe's first draw: the ranks of ``count`` shopping
+    domains, in the order the domains are given."""
+    if count >= total:
+        raise ValueError("total must exceed the shopping-site count")
+    return sorted(rng.sample(range(50, total), count))
+
+
+def shopping_ranks(count: int, total: int = 10_000,
+                   seed: int = 20210501) -> List[int]:
+    """The ranks :func:`build_tranco_universe` gives ``count`` shopping
+    domains with the same ``total`` and ``seed``, without building the
+    rest of the universe."""
+    return _draw_shopping_ranks(random.Random(seed), count, total)
+
+
 def build_tranco_universe(shopping_domains: Sequence[str],
                           total: int = 10_000,
                           seed: int = 20210501) -> Tuple[List[RankedSite],
@@ -93,14 +111,11 @@ def build_tranco_universe(shopping_domains: Sequence[str],
     thinly throughout); every other rank is filled with a generated
     domain from the non-shopping category mix.
     """
-    if len(shopping_domains) >= total:
-        raise ValueError("total must exceed the shopping-site count")
     rng = random.Random(seed)
-
-    shopping_ranks = sorted(rng.sample(range(50, total),
-                                       len(shopping_domains)))
     by_rank: Dict[int, Tuple[str, str]] = {}
-    for rank, domain in zip(shopping_ranks, shopping_domains):
+    for rank, domain in zip(_draw_shopping_ranks(rng, len(shopping_domains),
+                                                 total),
+                            shopping_domains):
         by_rank[rank] = (domain, CATEGORY_SHOPPING)
 
     category_pool: List[str] = []

@@ -359,17 +359,19 @@ def test_a_page_model_changes_no_pickled_byte(monkeypatch):
     assert parsed == modelled
 
 
-#: Pickled bytes per capture entry of the 8-site crawl below.  With its
-#: repeated exchange parts shared, the log pickles to 220.9 bytes per
-#: entry; with every part a copy, the slotted records took 283.7 and the
-#: ``__dict__``-backed dataclasses before them 398.3.  The ceiling leaves
-#: 7% headroom.
-_PICKLED_BYTES_PER_ENTRY_CEILING = 237
+#: Pickled bytes per capture entry of the 8-site crawl below.  With one
+#: ``Headers`` per header block, one body per distinct page and one
+#: chain and ping ``Url`` per (page, tracker), the log pickles to 203.7
+#: bytes per entry; with only the tuples inside them shared it took
+#: 220.9, with every part a copy 283.7, and the ``__dict__``-backed
+#: dataclasses before them 398.3.  The ceiling leaves 7% headroom.
+_PICKLED_BYTES_PER_ENTRY_CEILING = 218
 
-#: Tuples reachable from the 8-site crawl's capture log: 697 with the
-#: repeated header fields, header blocks, queries and initiator chains
-#: shared, 2,442 with every one a copy.
-_LOG_TUPLES_CEILING = 750
+#: Tuples reachable from the 8-site crawl's capture log: 670 with the
+#: repeated header fields, header blocks, queries, initiator chains and
+#: ping URLs shared (697 with a chain and a ping built per snippet run),
+#: 2,442 with every one a copy.
+_LOG_TUPLES_CEILING = 720
 
 
 def _crawl_entries():
@@ -447,3 +449,141 @@ def test_capture_log_live_tuples():
     tuples = sum(1 for obj in _reachable(entries) if type(obj) is tuple)
     assert len(entries) > 300
     assert tuples < _LOG_TUPLES_CEILING
+
+
+# -- shared parts are read-only --------------------------------------------
+
+
+def _creation_values(monkeypatch):
+    """id -> (object, its value when built) for every ``Headers`` and
+    ``HttpResponse`` built from here on.  A response's value is its
+    status, fields, body and latency; the browser may take its page
+    model off it."""
+    created = {}
+    headers_init = Headers.__init__
+    response_init = HttpResponse.__init__
+
+    def headers(self, *args, **kwargs):
+        headers_init(self, *args, **kwargs)
+        created[id(self)] = (self, _value(self))
+
+    def response(self, *args, **kwargs):
+        response_init(self, *args, **kwargs)
+        created[id(self)] = (self, _value(self))
+
+    monkeypatch.setattr(Headers, "__init__", headers)
+    monkeypatch.setattr(HttpResponse, "__init__", response)
+    return created
+
+
+def _value(part):
+    if isinstance(part, Headers):
+        return part.items()
+    return (part.status, part.headers.items(), part.body,
+            part.latency_seconds)
+
+
+def _assert_shared_parts_keep_their_values(entries, created):
+    holders = Counter()
+    bodies = Counter()
+    for entry in entries:
+        parts = {id(entry.request.headers)}
+        if entry.response is not None:
+            parts |= {id(entry.response), id(entry.response.headers)}
+            bodies[id(entry.response.body)] += 1
+        holders.update(parts)
+    shared = [key for key, count in holders.items() if count > 1]
+    assert any(count > 1 for count in bodies.values())
+    assert len(shared) > 20
+    for key in shared:
+        part, value = created[key]
+        assert _value(part) == value
+
+
+def test_a_firewalled_crawl_writes_no_shared_part(monkeypatch, study_spec):
+    """The firewall rewrites a request's ``Referer`` and ``Cookie`` on a
+    copy of its ``Headers``: the shared block keeps its value.  The
+    calibrated GET-form sites leak through the ``Referer``, and the
+    CNAME-cloaked Adobe sites through a first-party cookie."""
+    from repro.core import CandidateTokenSet
+    from repro.mitigation import REDACTION, PiiFirewall
+    from repro.websim.calibration import ADOBE_COOKIE_SLOTS, REFERER_SLOTS
+    created = _creation_values(monkeypatch)
+    population = study_spec.population
+    firewall = PiiFirewall(CandidateTokenSet(population.persona),
+                           resolver=population.resolver())
+    slots = list(REFERER_SLOTS) + sorted(ADOBE_COOKIE_SLOTS)[:2]
+    entries = StudyCrawler(population, firewall=firewall).crawl(
+        sites=[population.sites[study_spec.slot_domains[slot]]
+               for slot in slots]).log.entries
+    for name in ("Referer", "Cookie"):
+        assert any(REDACTION in entry.request.headers.get(name, "")
+                   for entry in entries), name
+    _assert_shared_parts_keep_their_values(entries, created)
+
+
+def test_a_faulted_job_writes_no_shared_part(monkeypatch):
+    from repro.netsim import CaptureLog
+    from repro.service import JobRun, JobSpec
+    from repro.service.jobs import STATE_COMPLETE
+    created = _creation_values(monkeypatch)
+    entries = []
+    record = CaptureLog.record
+
+    def keeping(self, entry):
+        entries.append(entry)
+        return record(self, entry)
+
+    monkeypatch.setattr(CaptureLog, "record", keeping)
+    spec = JobSpec.from_dict({"seed": 404, "sites": 24, "fault_rate": 0.05,
+                              "fault_seed": 3})
+    assert JobRun(spec).execute().state == STATE_COMPLETE
+    assert any(entry.blocked_by for entry in entries)
+    _assert_shared_parts_keep_their_values(entries, created)
+
+
+# -- live objects of the seed-404 log --------------------------------------
+
+#: Objects the seed-404 crawl's capture log holds, against the distinct
+#: values among them.  Each ceiling is about 2% above the count; the
+#: count when the part was built afresh per request (or per snippet run,
+#: or per page served) is given beside it.
+#:
+#: - request ``Headers``: 11,588 for 11,405 header blocks (19,984, one
+#:   per request);
+#: - response ``Headers``: 427 for 427 (2,919);
+#: - initiator chains: 8,974 for 8,951 (10,003);
+#: - ``PageView`` ping ``Url``\ s: 6,911 for 6,021 (7,940);
+#: - page bodies: 2,499 for 2,492 (2,896, one per page served).
+_SEED_404_LIVE_CEILINGS = {
+    "request headers": 11_850,
+    "response headers": 440,
+    "chains": 9_150,
+    "ping urls": 7_050,
+    "page bodies": 2_550,
+}
+
+
+def test_seed_404_log_holds_each_repeated_part_about_once():
+    population = generate_population(seed=404, config=GeneratorConfig(
+        n_sites=404, n_trackers=20, leak_probability=0.5,
+        confirmation_probability=0.2))
+    entries = StudyCrawler(population).crawl().log.entries
+    responses = [entry.response for entry in entries
+                 if entry.response is not None]
+    parts = {
+        "request headers": [entry.request.headers for entry in entries],
+        "response headers": [response.headers for response in responses],
+        "chains": [entry.request.initiator_chain for entry in entries],
+        "ping urls": [entry.request.url for entry in entries
+                      if entry.request.url.query[:1]
+                      == (("ev", "PageView"),)],
+        "page bodies": [response.body for response in responses
+                        if response.headers.get("Content-Type", "")
+                        .startswith("text/html")],
+    }
+    assert len(entries) == 19_984
+    for name, held in parts.items():
+        objects = len({id(part) for part in held})
+        assert objects <= _SEED_404_LIVE_CEILINGS[name], name
+        assert objects < len(held), name

@@ -20,6 +20,16 @@ ISO_VECTORS = [
     (b"abcdefghijklmnopqrstuvwxyz",
      "f1d754662636ffe92c82ebb9212a484a8d38631ead4238f5442ee13b8054e41b"
      "08bf2a9251c30b6a0b8aae86177ab4a6f68f673e7207865d5d9819a3dba4eb3b"),
+    (b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
+     "dc37e008cf9ee69bf11f00ed9aba26901dd7c28cdec066cc6af42e40f82f3a1e"
+     "08eba26629129d8fb7cb57211b9281a65517cc879d7b962142c65f5a7af01467"),
+    # Two blocks once padded.
+    (b"1234567890" * 8,
+     "466ef18babb0154d25b9d38a6414f5c08784372bccb204d6549c4afadb601429"
+     "4d5bd8df2a6c44e538cd047b2681a51a2c60481e88c5a20b2c2a80cf3a9a083b"),
+    (b"abcdbcdecdefdefgefghfghighijhijk",
+     "2a987ea40f917061f5d6f0a0e4644f488a7a5a52deee656207c562f988e95c69"
+     "16bdc8031bc5be1b7b947639fe050b56939baaa0adff9ae6745b7b181c3be3fd"),
 ]
 
 

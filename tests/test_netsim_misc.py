@@ -72,6 +72,20 @@ def test_headers_get_returns_the_first_mixed_case_duplicate():
     assert headers.get("x-id") == "d"
 
 
+def test_headers_lookup_by_exact_name_still_folds_case():
+    # A field named exactly as asked must not win over an earlier field
+    # that differs only in case, and must not hide later ones.
+    headers = Headers([("Referer", "r"), ("cookie", "a"), ("Cookie", "b"),
+                       ("COOKIE", "c")])
+    assert headers.get("Cookie") == "a"
+    assert headers.get("cOOKIE") == "a"
+    assert headers.get_all("Cookie") == ["a", "b", "c"]
+    assert headers.get_all("COOKIE") == ["a", "b", "c"]
+    assert headers.get("referer") == headers.get("Referer") == "r"
+    assert headers.get("Location") is None
+    assert headers.get_all("location") == []
+
+
 def test_headers_pickle_round_trip():
     headers = Headers([("Set-Cookie", "a=1"), ("set-cookie", "b=2"),
                        ("Referer", "https://x.com/")])

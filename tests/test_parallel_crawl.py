@@ -98,10 +98,12 @@ def test_parallel_fingerprint_equals_serial_fingerprint(seed):
 
 #: Pickled bytes of the seed-404 study's eight shard results, as the
 #: supervisor's result queue ships them (5,704,212 while every repeated
-#: exchange part was a copy of its own).  The benchmark suite's traced
-#: ``study-parallel`` reports 4,461,902 as ``ipc.result_bytes``: these
-#: and the resource samples its shards carry besides.
-_SEED_404_SHARD_RESULT_BYTES = 4_460_782
+#: exchange part was a copy of its own, 4,460,782 while a ``Headers``,
+#: page body, snippet chain and ping ``Url`` were still built per
+#: exchange).  The benchmark suite's traced ``study-parallel`` reports
+#: ``ipc.result_bytes``: these and the resource samples its shards
+#: carry besides.
+_SEED_404_SHARD_RESULT_BYTES = 4_118_462
 
 
 def test_seed_404_shard_results_pickle_to_the_pinned_bytes(monkeypatch):

@@ -86,3 +86,38 @@ def test_calibrated_spec_carries_acquisition_context(study_spec):
     # Site objects carry their actual rank in the universe.
     ranks = {study_spec.population.sites[d].tranco_rank for d in selected}
     assert len(ranks) == 404 and max(ranks) <= 10_000
+
+
+#: sha256 of ``domain=rank`` over the calibrated sites, in population
+#: order, as the eagerly built universe assigned them.
+_CALIBRATED_RANKS_DIGEST = "64551cfadac519ed"
+
+
+def test_calibrated_spec_builds_its_universe_only_when_read(monkeypatch):
+    import hashlib
+
+    from repro.websim import shopping, tranco
+    builds = []
+    build = tranco.build_tranco_universe
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(shopping, "build_tranco_universe", counting)
+    spec = shopping.build_study_population()
+    assert builds == []
+    sites = spec.population.sites
+    text = ",".join("%s=%d" % (domain, site.tranco_rank)
+                    for domain, site in sites.items())
+    assert hashlib.sha256(text.encode()).hexdigest().startswith(
+        _CALIBRATED_RANKS_DIGEST)
+
+    ranked, categories = build_tranco_universe(list(sites))
+    assert spec.tranco == ranked
+    assert spec.categories._assignments == categories._assignments
+    assert len(builds) == 1
+    assert spec.tranco is spec.tranco and len(builds) == 1
+    rank_of = {site.domain: site.rank for site in ranked}
+    assert all(site.tranco_rank == rank_of[domain]
+               for domain, site in sites.items())
