@@ -37,6 +37,7 @@ from ..netsim.faults import (
     ConnectionTimeout,
     NetworkError,
 )
+from ..netsim.stamps import Memo
 from ..psl import default_list
 from ..websim.consent import (
     CONSENT_ACCEPT_ALL,
@@ -71,20 +72,6 @@ _TAG_RESOURCE_TYPES = {
 }
 
 _MAX_REDIRECTS = 5
-
-#: Absolute subresource URLs a browser keeps for reuse before it starts
-#: over (see :meth:`Browser._resource_url`).
-_RESOURCE_URL_MEMO = 256
-
-#: Header fields, header blocks and page contexts a browser keeps for
-#: reuse before it starts over (see :meth:`Browser._field`,
-#: :meth:`Browser._headers`, :meth:`Browser._page`).
-_PART_MEMO = 256
-_PAGE_MEMO = 256
-
-#: A request header field, and a request's whole block of fields.
-_Field = Tuple[str, str]
-_Block = Tuple[_Field, ...]
 
 _AUTOMATION_FIELD = ("Sec-Automation", "true")
 
@@ -200,16 +187,16 @@ class Browser:
         #: site domain -> service domain -> stored identifier params.
         self.tracker_storage: Dict[str, Dict[str, Dict[str, str]]] = {}
         #: (script host, script path) -> the snippet's script URL.
-        self._script_urls: Dict[Tuple[str, str], Url] = {}
+        self._script_urls: Memo[Tuple[str, str], Url] = Memo(256)
         #: absolute subresource reference -> its parsed URL.
-        self._resource_urls: Dict[str, Url] = {}
-        #: Header fields and whole header blocks: each field the one
-        #: tuple, each block the one ``Headers``, with its value that
-        #: requests share (see :meth:`_field`, :meth:`_headers`).
-        self._fields: Dict[_Field, _Field] = {}
-        self._blocks: Dict[_Block, Headers] = {}
+        self._resource_urls: Memo[str, Url] = Memo(256)
+        #: Request header fields, each the one tuple with its value, and
+        #: whole header blocks, each the one ``Headers`` (see
+        #: :meth:`_request`).
+        self._fields: Memo[Tuple[str, str], Tuple[str, str]] = Memo(256)
+        self._blocks: Memo[Tuple[Tuple[str, str], ...], Headers] = Memo(256)
         #: page URL text -> the page's context.
-        self._pages: Dict[str, _PageContext] = {}
+        self._pages: Memo[str, _PageContext] = Memo(256)
         self._captcha_ready: Dict[str, bool] = {}
         self._current_url: Optional[Url] = None
         #: PII exposed in the current page context (set by form submission).
@@ -355,14 +342,9 @@ class Browser:
     def _page(self, url: Url) -> _PageContext:
         """The context of the page at ``url``, one per page URL: a page
         loaded again shares its text, chain and fields with the earlier
-        loads.  The memo starts over when full to stay small."""
+        loads."""
         text = str(url)
-        context = self._pages.get(text)
-        if context is None:
-            if len(self._pages) >= _PAGE_MEMO:
-                self._pages.clear()
-            context = self._pages[text] = _PageContext(url, text)
-        return context
+        return self._pages.get_or_build(text, _PageContext, url, text)
 
     def _resource_url(self, page_url: Url, src: str) -> Url:
         """``page_url.join(src)``, one shared ``Url`` per absolute ``src``.
@@ -370,17 +352,11 @@ class Browser:
         Tracker scripts are referenced by the same absolute URL from
         every page (7,504 requests for 20 URLs in the seed-404 crawl), so
         the capture log holds, pickles and ships each one once.  A
-        ``Url`` is immutable, so sharing it is invisible; the memo starts
-        over when full to stay small in a long crawl.
+        ``Url`` is immutable, so sharing it is invisible.
         """
         if "://" not in src:
             return page_url.join(src)
-        url = self._resource_urls.get(src)
-        if url is None:
-            if len(self._resource_urls) >= _RESOURCE_URL_MEMO:
-                self._resource_urls.clear()
-            url = self._resource_urls[src] = Url.parse(src)
-        return url
+        return self._resource_urls.get_or_build(src, Url.parse, src)
 
     def _answer_consent_banner(self, site: Website, context: _PageContext,
                                stage: str) -> None:
@@ -428,8 +404,7 @@ class Browser:
         chain, pings = self._snippet(site, embed.service, context)
         ctx = ScriptContext(site=site, page_url=context.url, stage=stage,
                             pii=dict(self._page_pii), stored_state=stored,
-                            timestamp=self.clock.now(),
-                            page_view=context.page_view, pings=pings)
+                            timestamp=self.clock.now(), pings=pings)
         actions = list(baseline_actions(embed, ctx))
         if self._page_pii and embed.leaks:
             actions.extend(exfil_actions(embed, ctx))
@@ -448,20 +423,12 @@ class Browser:
         key = (site.domain, service.domain)
         parts = context.snippets.get(key)
         if parts is None:
+            script = (service.script_host, service.script_path)
             parts = context.snippets[key] = (
-                (context.url, self._script_url(service)),
+                (context.url, self._script_urls.get_or_build(
+                    script, Url, "https", *script)),
                 SnippetPings(service, site, context.page_view))
         return parts
-
-    def _script_url(self, service: TrackerService) -> Url:
-        """The snippet's script URL, built once per script location."""
-        key = (service.script_host, service.script_path)
-        url = self._script_urls.get(key)
-        if url is None:
-            url = self._script_urls[key] = Url(
-                scheme="https", host=service.script_host,
-                path=service.script_path)
-        return url
 
     def _execute_action(self, site: Website, action: object,
                         context: _PageContext, chain: Tuple[Url, ...],
@@ -503,7 +470,8 @@ class Browser:
         if referer:
             fields.append(referer)
         if content_type:
-            fields.append(self._field(("Content-Type", content_type)))
+            fields.append(self._fields.intern(("Content-Type",
+                                               content_type)))
         if self.profile.automation_detectable:
             fields.append(_AUTOMATION_FIELD)
 
@@ -514,10 +482,12 @@ class Browser:
             cookie_value = self.jar.cookie_header(url, self.clock.now(),
                                                   partition)
             if cookie_value:
-                fields.append(self._field(("Cookie", cookie_value)))
+                fields.append(self._fields.intern(("Cookie", cookie_value)))
 
+        block = tuple(fields)
         request = HttpRequest(method=method, url=url,
-                              headers=self._headers(tuple(fields)),
+                              headers=self._blocks.get_or_build(
+                                  block, Headers, block),
                               body=body, resource_type=resource_type,
                               initiator_chain=initiator_chain,
                               timestamp=self.clock.tick())
@@ -693,27 +663,6 @@ class Browser:
         if service is not None:
             return service.domain
         return default_list().registrable_domain(host) or host
-
-    def _field(self, field: _Field) -> _Field:
-        """``field``, or the equal one handed out before, so equal request
-        header fields are one tuple.  The memo starts over when full to
-        stay small in a long crawl."""
-        shared = self._fields.get(field)
-        if shared is None:
-            if len(self._fields) >= _PART_MEMO:
-                self._fields.clear()
-            shared = self._fields[field] = field
-        return shared
-
-    def _headers(self, block: _Block) -> Headers:
-        """The one ``Headers`` holding ``block``, so requests with equal
-        header blocks share it.  The memo starts over when full."""
-        headers = self._blocks.get(block)
-        if headers is None:
-            if len(self._blocks) >= _PART_MEMO:
-                self._blocks.clear()
-            headers = self._blocks[block] = Headers(block)
-        return headers
 
     def _referer_field(self, context: _PageContext,
                        target: Url) -> Tuple[str, str]:

@@ -13,7 +13,7 @@ happens to read from the form or the data layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 # PII categories, following the paper's Table 1c terminology.

@@ -32,6 +32,7 @@ from typing import (Dict, Generic, Iterator, List, Optional, Sequence, Tuple,
                     TypeVar)
 
 from .. import hashes
+from ..netsim.stamps import Memo
 from ..obs import NULL_RECORDER, Recorder
 from .persona import Persona
 
@@ -179,7 +180,7 @@ class CandidateTokenSet:
         self.persona = persona
         self.config = config or TokenSetConfig()
         self.recorder = recorder or NULL_RECORDER
-        self._scan_distinct_memo: Dict[str, List[TokenOrigin]] = {}
+        self._scan_distinct_memo: Memo[str, List[TokenOrigin]] = Memo(8192)
         if compiled is not None:
             if (compiled.persona, compiled.config) != (persona, self.config):
                 raise ValueError("compiled token set was built for another "
@@ -305,17 +306,15 @@ class CandidateTokenSet:
         cookie strings recur across thousands of captured requests, and
         the origin list is a pure function of the (immutable) token set.
         """
-        cached = self._scan_distinct_memo.get(text)
-        if cached is not None:
-            return list(cached)
+        return list(self._scan_distinct_memo.get_or_build(
+            text, self._distinct_origins, text))
+
+    def _distinct_origins(self, text: str) -> List[TokenOrigin]:
         seen: List[TokenOrigin] = []
         for match in self.scan(text):
             if match.payload not in seen:
                 seen.append(match.payload)
-        if len(self._scan_distinct_memo) >= 8192:
-            self._scan_distinct_memo.clear()
-        self._scan_distinct_memo[text] = seen
-        return list(seen)
+        return seen
 
     def contains_leak(self, text: str) -> bool:
         """Fast check: does ``text`` contain any candidate token?"""

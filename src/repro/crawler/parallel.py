@@ -15,10 +15,10 @@ How the invariance is achieved
 * **Shards, not sites, are the unit of state.**  Each shard is crawled
   by a completely independent :class:`~repro.crawler.CrawlSession` —
   its own browser (cookie jar, capture log, simulated clock), mailbox
-  and circuit breakers — built from a *picklable*
-  :class:`PopulationSpec`, never from live server objects.  Worker
-  processes rebuild the synthetic web locally (population construction
-  is seeded and cheap), so nothing mutable is shared across processes.
+  and circuit breakers.  The population is built once, in the parent,
+  and every shard crawls that one object: worker processes inherit it
+  when they fork, and a crawl never changes it, so nothing mutable is
+  shared across shards.
 * **Fault plans are per-shard and order-free.**  Every shard receives a
   :meth:`~repro.netsim.faults.FaultPlan.fresh_copy` of the study plan.
   Fault decisions are a pure function of ``(seed, namespace, origin,
@@ -145,26 +145,18 @@ class ShardJob:
     population: Population
     shard: ShardInfo
     profile: Optional[object] = None          # BrowserProfile
-    consent_policy: Optional[str] = None
-    automated: bool = False
     fault_plan: Optional[FaultPlan] = None    # fresh per-shard copy
     retry_policy: Optional[object] = None     # RetryPolicy
-    extension: Optional[object] = None        # ContentBlocker
-    firewall: Optional[object] = None         # OutboundFirewall
     checkpoint_path: Optional[str] = None
     #: Record a per-shard observability trace (spans + metrics) and
     #: ship it back with the result.  Off by default: tracing must
     #: never be a tax on untraced crawls.
     trace: bool = False
-    #: Emit per-site :class:`~repro.obs.progress.HeartbeatEvent`\ s
-    #: while crawling.  Like tracing, off by default and — invariantly
-    #: — never an influence on the dataset fingerprint.
-    progress: bool = False
     #: Sample process resources (CPU/RSS/GC via
     #: :class:`~repro.obs.runtime.ResourceSampler`) at heartbeat time
     #: and attach them to each event plus the shard result.  Pure ops
-    #: telemetry: requires ``progress`` to have a channel to ride, and
-    #: never touches the dataset or the trace.
+    #: telemetry: it rides the heartbeats, and never touches the dataset
+    #: or the trace.
     resources: bool = False
 
 
@@ -196,9 +188,7 @@ def _session_for_job(job: ShardJob) -> CrawlSession:
         return CrawlSession.load(job.checkpoint_path, job.population,
                                  expect_shard=job.shard)
     crawler = StudyCrawler(
-        job.population, profile=job.profile, extension=job.extension,
-        firewall=job.firewall, consent_policy=job.consent_policy,
-        automated=job.automated, fault_plan=job.fault_plan,
+        job.population, profile=job.profile, fault_plan=job.fault_plan,
         retry_policy=job.retry_policy,
         recorder=Recorder() if job.trace else None)
     return crawler.start(shard=job.shard)
@@ -405,10 +395,6 @@ class ParallelCrawler:
                  profile: Optional[object] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  retry_policy: Optional[object] = None,
-                 consent_policy: Optional[str] = None,
-                 automated: bool = False,
-                 extension: Optional[object] = None,
-                 firewall: Optional[object] = None,
                  checkpoint_dir: Optional[str] = None,
                  recorder: Optional[Recorder] = None,
                  progress: Optional[ProgressSink] = None,
@@ -431,16 +417,11 @@ class ParallelCrawler:
                 self._population = assets.population
         else:
             self._population = population
-        self.assets = assets
         self.workers = workers
         self.num_shards = num_shards
         self.profile = profile
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
-        self.consent_policy = consent_policy
-        self.automated = automated
-        self.extension = extension
-        self.firewall = firewall
         self.checkpoint_dir = checkpoint_dir
         self.recorder = recorder
         self.progress = progress
@@ -600,12 +581,8 @@ class ParallelCrawler:
         plan = self.fault_plan.fresh_copy() if self.fault_plan else None
         return ShardJob(population=self.population(),
                         shard=self.layout.info(index),
-                        profile=self.profile,
-                        consent_policy=self.consent_policy,
-                        automated=self.automated, fault_plan=plan,
+                        profile=self.profile, fault_plan=plan,
                         retry_policy=self.retry_policy,
-                        extension=self.extension, firewall=self.firewall,
                         checkpoint_path=checkpoint_path,
                         trace=self.recorder is not None,
-                        progress=self.progress is not None,
                         resources=self.resources)

@@ -79,7 +79,7 @@ Supervision model
 Determinism note: the supervisor reads the host's monotonic clock — a
 *liveness* watchdog is meaningless against a simulated clock — but
 nothing it observes ever feeds a dataset: shard results are pure
-functions of ``(population spec, seed, shard)`` regardless of which
+functions of ``(population, seed, shard)`` regardless of which
 attempt produced them, so retries, kills, and resumes cannot move a
 fingerprint.  The explicit justified DET101 suppressions below scope
 the exception to exactly those liveness reads.
@@ -162,10 +162,12 @@ class SupervisorConfig:
 
     ``heartbeat_deadline`` is the wall-clock silence, in seconds, after
     which a live worker is declared hung; it must comfortably exceed
-    the slowest single site crawl *plus* the worker's population-build
-    time.  ``max_retries`` bounds the *transient* retries per shard
-    before quarantine (``0`` = no retries).  ``drain_timeout`` is the
-    graceful-shutdown budget for in-flight shards.
+    the slowest single site crawl *plus* the time to start a shard's
+    session (loading its checkpoint, on a resume).  Workers inherit the
+    population when they fork, so they build none.  ``max_retries``
+    bounds the *transient* retries per shard before quarantine (``0`` =
+    no retries).  ``drain_timeout`` is the graceful-shutdown budget for
+    in-flight shards.
     """
 
     max_retries: int = 2
@@ -238,7 +240,7 @@ class _Beat:
     """Worker → parent liveness message (picklable plain data).
 
     ``event`` is the crawl heartbeat riding along (``None`` for the
-    start sentinel emitted before the population build).
+    start sentinel emitted before the shard's session starts).
     """
 
     shard: int

@@ -131,8 +131,3 @@ def whirlpool_digest(message: bytes) -> bytes:
 def whirlpool_hexdigest(message: bytes) -> str:
     """Return the Whirlpool digest of ``message`` as lowercase hex."""
     return whirlpool_digest(message).hex()
-
-
-def _self_test() -> List[str]:
-    """Return digests for the ISO vector inputs (used by the test suite)."""
-    return [whirlpool_hexdigest(b""), whirlpool_hexdigest(b"abc")]

@@ -13,15 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .stamps import ChangeStamps
+from .stamps import ChangeStamps, Memo
 from .url import Url
 
 #: A stored cookie's identity: (partition, domain, path, name).
 _Key = Tuple[str, str, str, str]
-
-#: Distinct ``Cookie`` header values a jar keeps for reuse before it
-#: starts over (see :meth:`CookieJar.cookie_header`).
-_HEADER_MEMO = 1024
 
 
 @dataclass
@@ -133,7 +129,7 @@ class CookieJar:
         self._index: Dict[Tuple[str, str], Dict[_Key, int]] = {}
         self._sequence = 0
         # rendered Cookie header value -> its one shared string
-        self._headers: Dict[str, str] = {}
+        self._headers: Memo[str, str] = Memo(1024)
         # changes to stored keys (keys new since a version come in the
         # order they were stored), and the version of the last removal
         self._changes: ChangeStamps[_Key] = ChangeStamps()
@@ -207,17 +203,11 @@ class CookieJar:
 
         Equal values come back as one shared string: a crawl sends the
         same few cookies on thousands of requests, so the capture log
-        holds, pickles and ships each value once.  The memo starts over
-        when full to stay small in a long crawl.
+        holds, pickles and ships each value once.
         """
-        value = "; ".join("%s=%s" % (c.name, c.value)
-                          for c in self.cookies_for(url, now, partition))
-        shared = self._headers.get(value)
-        if shared is None:
-            if len(self._headers) >= _HEADER_MEMO:
-                self._headers.clear()
-            shared = self._headers[value] = value
-        return shared
+        return self._headers.intern("; ".join(
+            "%s=%s" % (c.name, c.value)
+            for c in self.cookies_for(url, now, partition)))
 
     def all_cookies(self) -> List[Cookie]:
         """Every stored cookie (for instrumentation snapshots)."""

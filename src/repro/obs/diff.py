@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: Attr keys that identify a span among its siblings, in priority order.
 _DISCRIMINATOR_ATTRS = ("domain", "index", "host", "kind")
@@ -248,14 +248,6 @@ def _index_nodes(roots: Sequence[_Node]) -> Dict[str, _Node]:
     for root in roots:
         walk(root)
     return out
-
-
-def _iter_nodes(roots: Sequence[_Node]) -> Iterator[_Node]:
-    stack = list(reversed(list(roots)))
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
 
 
 def _topmost_only(nodes: Dict[str, _Node],

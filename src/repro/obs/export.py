@@ -167,59 +167,49 @@ def summarize_trace(records: Dict[str, List[Dict[str, object]]],
     clock domain (simulated seconds for sites/requests, logical ticks
     for study stages), so within a row the totals are comparable.
     """
-    lines: List[str] = []
-    spans = records["span"]
-    lines.append("spans: %d   counters: %d   gauges: %d   histograms: %d"
-                 % (len(spans), len(records["counter"]),
-                    len(records["gauge"]), len(records["histogram"])))
+    summary = summary_dict(records, top)
+    counters = summary["counters"]
+    gauges = summary["gauges"]
+    histograms = summary["histograms"]
+    open_spans = summary["open_spans"]
+    lines = ["spans: %d   counters: %d   gauges: %d   histograms: %d"
+             % (summary["spans"], len(counters), len(gauges),
+                len(histograms))]
 
-    by_name: Dict[str, List[float]] = {}
-    open_spans = 0
-    for span in spans:
-        end = span.get("end")
-        if end is None:
-            open_spans += 1
-            continue
-        by_name.setdefault(str(span["name"]), []).append(
-            float(end) - float(span["start"]))
-    if by_name:
+    if summary["spans"] > open_spans:
         lines.append("")
         lines.append("span breakdown (durations are clock-domain-local):")
         lines.append("  %-24s %8s %12s %12s" % ("name", "count", "total",
                                                 "mean"))
-        ranked = sorted(by_name.items(),
-                        key=_total_duration_then_name)[:top]
-        for name, durations in ranked:
-            total = sum(durations)
+        for row in summary["span_breakdown"]:
             lines.append("  %-24s %8d %12.3f %12.4f"
-                         % (name, len(durations), total,
-                            total / len(durations)))
+                         % (row["name"], row["count"], row["total"],
+                            row["mean"]))
     if open_spans:
         lines.append("  (%d span(s) still open)" % open_spans)
 
-    if records["counter"]:
+    if counters:
         lines.append("")
         lines.append("counters:")
-        for record in records["counter"][:top]:
-            lines.append("  %-40s %12g" % (record["name"], record["value"]))
-        if len(records["counter"]) > top:
-            lines.append("  ... and %d more"
-                         % (len(records["counter"]) - top))
+        for row in counters[:top]:
+            lines.append("  %-40s %12g" % (row["name"], row["value"]))
+        if len(counters) > top:
+            lines.append("  ... and %d more" % (len(counters) - top))
 
-    if records["gauge"]:
+    if gauges:
         lines.append("")
         lines.append("gauges:")
-        for record in records["gauge"][:top]:
-            lines.append("  %-40s %12g" % (record["name"], record["value"]))
+        for row in gauges[:top]:
+            lines.append("  %-40s %12g" % (row["name"], row["value"]))
 
-    if records["histogram"]:
+    if histograms:
         lines.append("")
         lines.append("histograms:")
-        for record in records["histogram"][:top]:
-            count = int(record["count"]) or 1
+        for row in histograms[:top]:
+            count = int(row["count"]) or 1
             lines.append("  %-32s n=%-6d min=%-9.4g mean=%-9.4g max=%-9.4g"
-                         % (record["name"], record["count"], record["min"],
-                            float(record["total"]) / count, record["max"]))
+                         % (row["name"], row["count"], row["min"],
+                            float(row["total"]) / count, row["max"]))
     return "\n".join(lines)
 
 

@@ -28,11 +28,6 @@ from .diff import _segment
 PathKey = Tuple[int, ...]
 
 
-def _completed_spans(records: Dict[str, List[Dict[str, object]]]
-                     ) -> List[Dict[str, object]]:
-    return [span for span in records["span"] if span.get("end") is not None]
-
-
 def _duration(span: Dict[str, object]) -> float:
     return float(span["end"]) - float(span["start"])  # type: ignore[arg-type]
 

@@ -72,23 +72,15 @@ class ScriptContext:
     site: Website
     page_url: Url
     stage: str
+    #: The running snippet's :class:`SnippetPings` on this page, which a
+    #: browser builds once per (page, tracker).
+    pings: "SnippetPings"
     #: PII the page currently exposes (form fields / data layer); empty
     #: before the user has typed anything.
     pii: Dict[str, str] = field(default_factory=dict)
     #: Previously stored tracker state for (this site, service) pairs.
     stored_state: Dict[str, Dict[str, str]] = field(default_factory=dict)
     timestamp: float = 0.0
-    #: The page-load ping's query, :func:`page_view_query` of
-    #: ``page_url``: a browser builds it once per page for every snippet
-    #: the page runs.
-    page_view: Optional[Tuple[Tuple[str, str], ...]] = None
-    #: The running snippet's :class:`SnippetPings` on this page, which a
-    #: browser builds once per (page, tracker); None builds them afresh.
-    pings: Optional["SnippetPings"] = None
-
-    def __post_init__(self) -> None:
-        if self.page_view is None:
-            self.page_view = page_view_query(self.page_url)
 
 
 class SnippetPings:
@@ -117,14 +109,8 @@ class SnippetPings:
         return self._beacon
 
 
-def _pings(embed: TrackerEmbed, ctx: ScriptContext) -> SnippetPings:
-    if ctx.pings is not None:
-        return ctx.pings
-    return SnippetPings(embed.service, ctx.site, ctx.page_view)
-
-
-def _beacon_request(embed: TrackerEmbed, ctx: ScriptContext) -> EmitRequest:
-    return EmitRequest(method="GET", url=_pings(embed, ctx).beacon,
+def _beacon_request(ctx: ScriptContext) -> EmitRequest:
+    return EmitRequest(method="GET", url=ctx.pings.beacon,
                        resource_type=RESOURCE_IMAGE)
 
 
@@ -225,7 +211,7 @@ def baseline_actions(embed: TrackerEmbed, ctx: ScriptContext) -> List[Action]:
     A plain event ping (no PII) — the background tracking traffic that
     exists whether or not the site leaks.
     """
-    return [EmitRequest(method="GET", url=_pings(embed, ctx).load,
+    return [EmitRequest(method="GET", url=ctx.pings.load,
                         resource_type=RESOURCE_IMAGE)]
 
 
@@ -254,7 +240,7 @@ def exfil_actions(embed: TrackerEmbed, ctx: ScriptContext) -> List[Action]:
             actions.append(SetFirstPartyCookie(
                 name=behavior.cookie_name, value=primary_value,
                 domain=ctx.site.domain))
-            actions.append(_beacon_request(embed, ctx))
+            actions.append(_beacon_request(ctx))
     if service.persistent:
         actions.append(StoreTrackerState(service_domain=service.domain,
                                          values=tuple(params)))
@@ -280,5 +266,5 @@ def revisit_actions(embed: TrackerEmbed, ctx: ScriptContext) -> List[Action]:
         return [_payload_request(service, ctx.site, behavior, params)]
     if behavior is not None and CHANNEL_COOKIE in behavior.channels:
         # The first-party cookie persists; the beacon keeps carrying it.
-        return [_beacon_request(embed, ctx)]
+        return [_beacon_request(ctx)]
     return [_uri_request(service, ctx.site, params, event="PageView")]

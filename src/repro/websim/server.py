@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..netsim import Headers, HttpRequest, HttpResponse
+from ..netsim.stamps import Memo
 from ..psl import default_list
 from .html import PageWriter, ScriptBlock
 from .site import (
@@ -58,12 +59,6 @@ _GIF_FIELDS = (("Content-Type", "image/gif"),)
 _JSON_FIELDS = (("Content-Type", "application/json"),)
 _HTML_FIELD = ("Content-Type", "text/html; charset=utf-8")
 
-#: Sites whose page parts, and distinct pages whose bodies, a server
-#: keeps before it starts over (see :meth:`WebServer._site_parts`,
-#: :meth:`WebServer._page`).
-_SITE_MEMO = 256
-_BODY_MEMO = 256
-
 
 @dataclass
 class WebServer:
@@ -72,7 +67,7 @@ class WebServer:
     A reply that repeats is one shared object: the tracker replies that
     mint no cookie, the CMP's, the fixed redirects and error pages (see
     :meth:`_reply`), per site the ``Headers`` and script block of its
-    pages (see :meth:`_site_parts`), and per distinct page its body
+    pages (see :func:`_site_parts`), and per distinct page its body
     bytes.  The capture log then holds, pickles and ships each once.
     Shared parts are read-only: nothing edits a response or its
     ``Headers`` after the server returns it.
@@ -89,14 +84,17 @@ class WebServer:
     #: (a cleared jar gets a *new* tuid, like real tracker backends).
     _tuid_sequence: int = 0
     #: (status, header fields, body) -> the one reply with those parts.
-    _replies: Dict[Tuple[int, _Fields, bytes], HttpResponse] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _replies: Memo[Tuple[int, _Fields, bytes], HttpResponse] = field(
+        default_factory=lambda: Memo(256), init=False, repr=False,
+        compare=False)
     #: site domain -> (page headers, script block).
-    _parts_by_site: Dict[str, Tuple[Headers, ScriptBlock]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _parts_by_site: Memo[str, Tuple[Headers, ScriptBlock]] = field(
+        default_factory=lambda: Memo(256), init=False, repr=False,
+        compare=False)
     #: rendered page -> its one body.
-    _bodies: Dict[str, bytes] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _bodies: Memo[str, bytes] = field(
+        default_factory=lambda: Memo(256), init=False, repr=False,
+        compare=False)
 
     # -- checkpoint journal ----------------------------------------------
 
@@ -137,14 +135,10 @@ class WebServer:
 
     def _reply(self, status: int, body: bytes = b"",
                fields: _Fields = ()) -> HttpResponse:
-        """The one shared response with these parts.  The keys are the
-        server's fixed replies, so the memo stays small."""
-        key = (status, fields, body)
-        reply = self._replies.get(key)
-        if reply is None:
-            reply = self._replies[key] = HttpResponse(
-                status=status, headers=Headers(fields), body=body)
-        return reply
+        """The one shared response with these parts."""
+        return self._replies.get_or_build((status, fields, body),
+                                          _build_reply, status, fields,
+                                          body)
 
     @staticmethod
     def _is_cmp_host(host: str) -> bool:
@@ -203,9 +197,9 @@ class WebServer:
         or ``form``, then the site's consent, tracker and captcha
         scripts.  The response carries the parsed page beside the bytes
         (see :class:`~repro.websim.html.PageWriter`).  A page rendered
-        again shares the earlier one's body; the memo starts over when
-        full to stay small."""
-        headers, scripts = self._site_parts(site)
+        again shares the earlier one's body."""
+        headers, scripts = self._parts_by_site.get_or_build(
+            site.domain, _site_parts, site)
         writer = PageWriter(heading)
         for href, text in links:
             writer.link(href, text)
@@ -214,47 +208,9 @@ class WebServer:
                         [(f.name, f.kind, f.value) for f in form.fields])
         writer.scripts(scripts)
         html = writer.document("%s - %s" % (site.domain, title))
-        body = self._bodies.get(html)
-        if body is None:
-            if len(self._bodies) >= _BODY_MEMO:
-                self._bodies.clear()
-            body = self._bodies[html] = html.encode("utf-8")
+        body = self._bodies.get_or_build(html, str.encode, html, "utf-8")
         return HttpResponse(status=200, headers=headers, body=body,
                             page=writer.page)
-
-    def _site_parts(self, site: Website) -> Tuple[Headers, ScriptBlock]:
-        """What every page of ``site`` shares: its ``Headers`` (the
-        content type and the site's deterministic ``session`` cookie)
-        and its consent, tracker and captcha scripts, built once per
-        site.  The memo starts over when full to stay small."""
-        parts = self._parts_by_site.get(site.domain)
-        if parts is not None:
-            return parts
-        scripts = []
-        if site.consent is not None:
-            scripts.append({
-                "src": "https://%s%s" % (site.consent.script_host,
-                                         site.consent.script_path),
-                "data-cmp": site.consent.provider})
-        for embed in site.embeds:
-            service = embed.service
-            scripts.append({
-                "src": "https://%s%s" % (service.script_host,
-                                         service.script_path),
-                "data-tracker": service.domain})
-        if site.auth.captcha_blocks_brave:
-            scripts.append({
-                "src": "https://ct.%s/challenge.js" % CAPTCHA_PROVIDER,
-                "data-captcha": "1"})
-        headers = Headers((
-            _HTML_FIELD,
-            ("Set-Cookie", "session=%s; Path=/; Max-Age=86400"
-             % _session_token(site.domain))))
-        if len(self._parts_by_site) >= _SITE_MEMO:
-            self._parts_by_site.clear()
-        parts = self._parts_by_site[site.domain] = (headers,
-                                                    ScriptBlock(scripts))
-        return parts
 
     # -- auth endpoints --------------------------------------------------
 
@@ -343,3 +299,34 @@ class WebServer:
 def _session_token(seed: str) -> str:
     """Deterministic opaque token (no randomness, reproducible crawls)."""
     return hashlib.sha256(("repro-token:" + seed).encode()).hexdigest()[:24]
+
+
+def _build_reply(status: int, fields: _Fields, body: bytes) -> HttpResponse:
+    return HttpResponse(status=status, headers=Headers(fields), body=body)
+
+
+def _site_parts(site: Website) -> Tuple[Headers, ScriptBlock]:
+    """What every page of ``site`` shares: its ``Headers`` (the content
+    type and the site's deterministic ``session`` cookie) and its
+    consent, tracker and captcha scripts."""
+    scripts = []
+    if site.consent is not None:
+        scripts.append({
+            "src": "https://%s%s" % (site.consent.script_host,
+                                     site.consent.script_path),
+            "data-cmp": site.consent.provider})
+    for embed in site.embeds:
+        service = embed.service
+        scripts.append({
+            "src": "https://%s%s" % (service.script_host,
+                                     service.script_path),
+            "data-tracker": service.domain})
+    if site.auth.captcha_blocks_brave:
+        scripts.append({
+            "src": "https://ct.%s/challenge.js" % CAPTCHA_PROVIDER,
+            "data-captcha": "1"})
+    headers = Headers((
+        _HTML_FIELD,
+        ("Set-Cookie", "session=%s; Path=/; Max-Age=86400"
+         % _session_token(site.domain))))
+    return headers, ScriptBlock(scripts)

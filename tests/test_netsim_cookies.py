@@ -7,7 +7,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim import Cookie, CookieJar, Url, cookies, parse_set_cookie
+from repro.netsim import Cookie, CookieJar, Url, parse_set_cookie
 
 
 def _url(text="https://www.shop.com/account"):
@@ -117,14 +117,16 @@ def test_expires_attribute_treated_as_persistent():
 def test_cookie_header_memo_starts_over_when_full():
     jar = CookieJar()
     url = _url()
-    rounds = cookies._HEADER_MEMO + 5
+    limit = jar._headers.limit
+    assert limit == 1024
+    rounds = limit + 5
     headers = []
     for index in range(rounds):
         jar.set_cookie(Cookie(name="n", value=str(index),
                               domain="www.shop.com"))
         headers.append(jar.cookie_header(url))
     assert headers == ["n=%d" % index for index in range(rounds)]
-    assert len(jar._headers) <= cookies._HEADER_MEMO
+    assert len(jar._headers) <= limit
     assert jar.cookie_header(url) is headers[-1]
 
 

@@ -23,6 +23,7 @@ from repro.netsim import (
     encode_urlencoded,
     flatten_json,
 )
+from repro.netsim.stamps import Memo
 
 
 # -- Headers ---------------------------------------------------------------
@@ -224,3 +225,46 @@ def test_capture_log_extend():
     log_b.record(_entry())
     log_a.extend(log_b)
     assert len(log_a) == 2
+
+
+# -- Memo -------------------------------------------------------------------
+
+def test_memo_builds_one_object_per_key():
+    memo = Memo(4)
+    calls = []
+
+    def build(text):
+        calls.append(text)
+        return Url.parse(text)
+
+    first = memo.get_or_build("a", build, "https://a.example/")
+    assert memo.get_or_build("a", build, "https://a.example/") is first
+    assert calls == ["https://a.example/"]
+    assert memo.get_or_build("b", build, "https://b.example/") is not first
+
+
+def test_memo_intern_returns_the_first_equal_value():
+    memo = Memo(4)
+    field = ("Cookie", "a=1")
+    assert memo.intern(field) is field
+    equal = tuple(["Cookie", "a=1"])
+    assert equal is not field
+    assert memo.intern(equal) is field
+
+
+def test_memo_starts_over_at_its_limit():
+    memo = Memo(3)
+    for index in range(3):
+        memo.get_or_build(index, str, index)
+    assert len(memo) == 3
+    memo.get_or_build(3, str, 3)
+    assert dict(memo) == {3: "3"}
+    assert memo.get_or_build(0, str, 0) == "0"
+    assert len(memo) == 2
+
+
+def test_memo_pickles_with_its_limit():
+    memo = Memo(5)
+    memo.intern("x")
+    copy = pickle.loads(pickle.dumps(memo))
+    assert type(copy) is Memo and copy.limit == 5 and copy == {"x": "x"}

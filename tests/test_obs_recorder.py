@@ -6,7 +6,6 @@ import pickle
 import pytest
 
 from repro.obs import (
-    DEFAULT_BUCKETS,
     Histogram,
     MetricSet,
     NULL_RECORDER,

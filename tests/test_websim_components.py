@@ -22,9 +22,11 @@ from repro.websim.scripts import (
     EmitRequest,
     ScriptContext,
     SetFirstPartyCookie,
+    SnippetPings,
     StoreTrackerState,
     baseline_actions,
     exfil_actions,
+    page_view_query,
     revisit_actions,
 )
 from repro.websim.trackers import (
@@ -46,9 +48,12 @@ def _site(embed):
 
 
 def _ctx(site, pii=None, stored=None, stage="signup"):
-    return ScriptContext(site=site,
-                         page_url=Url.parse("https://www.shop.example/"),
-                         stage=stage, pii=pii or {},
+    """The context of ``site``'s one snippet on its home page."""
+    page_url = Url.parse("https://www.shop.example/")
+    pings = SnippetPings(site.embeds[0].service, site,
+                         page_view_query(page_url))
+    return ScriptContext(site=site, page_url=page_url, stage=stage,
+                         pings=pings, pii=pii or {},
                          stored_state=stored or {})
 
 
