@@ -11,7 +11,6 @@ recovers.
 from repro.core import (
     CandidateTokenSet,
     HeuristicDetector,
-    LeakAnalysis,
     LeakDetector,
 )
 from repro.core.persona import DEFAULT_PERSONA

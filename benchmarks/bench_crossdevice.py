@@ -7,7 +7,7 @@ shared PII-derived identifier, cookie-free.
 """
 
 from repro.browser import chrome, vanilla_firefox
-from repro.core import CandidateTokenSet, LeakDetector
+from repro.core import LeakDetector
 from repro.crawler import StudyCrawler
 from repro.tracking import linkable_receivers, match_profiles
 

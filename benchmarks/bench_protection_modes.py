@@ -12,7 +12,7 @@ leakage over the 130 leaking senders:
 """
 
 from repro.blocklist import AdblockExtension
-from repro.browser import brave, vanilla_firefox
+from repro.browser import brave
 from repro.core import CandidateTokenSet, LeakAnalysis, LeakDetector
 from repro.core.persona import DEFAULT_PERSONA
 from repro.crawler import StudyCrawler

@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.detector import LeakDetector
-from ..core.leakmodel import LeakEvent
-from ..netsim import CaptureEntry, CaptureLog, RESOURCE_SCRIPT
+from ..netsim import CaptureEntry, CaptureLog, RESOURCE_SCRIPT, Url
 from ..obs.runtime import gc_paused
 from ..psl import default_list
 from .lists import easylist_text, easyprivacy_text
 from .matcher import RequestContext, RuleSet
 
-_METHOD_ROWS = ("referer", "uri", "payload", "cookie", "combined")
+#: The per-method rows; "combined" and "total" follow them.
+_CHANNEL_ROWS = ("referer", "uri", "payload", "cookie")
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,13 @@ def default_rule_sets() -> Dict[str, RuleSet]:
 
 
 class BlocklistEvaluator:
-    """Runs the Table 4 evaluation over a capture log."""
+    """Runs the Table 4 evaluation over a capture log.
+
+    Detection goes through the detector's shared per-part hits (see
+    :mod:`repro.core.hits`), so a log the study's detector has just
+    scanned is not scanned again.  Each request context is built once
+    per (URL, site, resource type) and matched once per rule set.
+    """
 
     def __init__(self, detector: LeakDetector,
                  rule_sets: Optional[Dict[str, RuleSet]] = None) -> None:
@@ -68,103 +74,121 @@ class BlocklistEvaluator:
 
     def entry_blocked(self, entry: CaptureEntry, rules: RuleSet) -> bool:
         """Whether the request or its initiator chain would be blocked."""
-        request = entry.request
-        page_host = "www." + entry.site
-        contexts = [RequestContext(
-            url=str(request.url),
-            resource_type=request.resource_type,
-            page_domain=entry.site,
-            is_third_party=default_list().is_third_party(
-                request.url.host, page_host))]
-        for initiator in request.initiator_chain[1:]:
-            # Chain entries beyond the document are loader scripts.
-            contexts.append(RequestContext(
-                url=str(initiator), resource_type=RESOURCE_SCRIPT,
-                page_domain=entry.site,
-                is_third_party=default_list().is_third_party(
-                    initiator.host, page_host)))
-        return any(rules.match(context).blocked for context in contexts)
+        return any(rules.match(context).blocked
+                   for context in _Contexts().of_entry(entry))
 
     # -- Table 4 ------------------------------------------------------------
 
     @gc_paused
     def evaluate(self, log: CaptureLog) -> Table4Report:
         """Compute the full Table 4 from a crawl capture."""
-        # Pair each leak event with its capture entry.
-        observations: List[Tuple[CaptureEntry, LeakEvent]] = []
+        # Each leaking entry's request contexts, sender, receiver and
+        # leak methods: its events share the entry's site and attributed
+        # receiver, so a method's events all fare alike.
+        observations: List[Tuple[Tuple[RequestContext, ...], str, str,
+                                 Set[str]]] = []
+        contexts = _Contexts()
         for entry in log:
             if entry.was_blocked:
                 continue
-            for event in self.detector.detect_entry(entry):
-                observations.append((entry, event))
+            events = self.detector.detect_entry(entry)
+            if events:
+                first = events[0]
+                observations.append((
+                    contexts.of_entry(entry), first.sender, first.receiver,
+                    {event.channel for event in events}))
 
         report = Table4Report()
         for list_name, rules in self.rule_sets.items():
-            blocked_cache: Dict[int, bool] = {}
-
-            def is_prevented(entry: CaptureEntry) -> bool:
-                key = id(entry)
-                if key not in blocked_cache:
-                    blocked_cache[key] = self.entry_blocked(entry, rules)
-                return blocked_cache[key]
-
-            report.senders[list_name] = self._aggregate(
-                observations, is_prevented, lambda event: event.sender)
-            report.receivers[list_name] = self._aggregate(
-                observations, is_prevented, lambda event: event.receiver)
+            blocked: Dict[RequestContext, bool] = {}
+            senders, receivers = _Tally(), _Tally()
+            for entry_contexts, sender, receiver, channels in observations:
+                prevented = False
+                for context in entry_contexts:
+                    verdict = blocked.get(context)
+                    if verdict is None:
+                        verdict = blocked[context] = \
+                            rules.match(context).blocked
+                    if verdict:
+                        prevented = True
+                        break
+                relationship = (sender, receiver)
+                for channel in channels:
+                    senders.add(sender, channel, relationship, prevented)
+                    receivers.add(receiver, channel, relationship, prevented)
+            report.senders[list_name] = senders.rows()
+            report.receivers[list_name] = receivers.rows()
         return report
 
-    def _aggregate(self, observations, is_prevented,
-                   subject_of) -> Dict[str, Table4Cell]:
-        # subject -> channel -> [total events, prevented events]
-        per_channel: Dict[str, Dict[str, List[int]]] = {}
-        # subject -> (sender, receiver) -> channel set (for "combined").
-        rel_channels: Dict[str, Dict[Tuple[str, str], Set[str]]] = {}
-        rel_prevented: Dict[str, Dict[Tuple[str, str], List[int]]] = {}
-        overall: Dict[str, List[int]] = {}
 
-        for entry, event in observations:
-            subject = subject_of(event)
-            prevented = is_prevented(entry)
-            counts = per_channel.setdefault(subject, {}).setdefault(
-                event.channel, [0, 0])
-            counts[0] += 1
-            counts[1] += 1 if prevented else 0
-            total = overall.setdefault(subject, [0, 0])
-            total[0] += 1
-            total[1] += 1 if prevented else 0
-            rel_key = (event.sender, event.receiver)
-            rel_channels.setdefault(subject, {}).setdefault(
-                rel_key, set()).add(event.channel)
-            rel_counts = rel_prevented.setdefault(subject, {}).setdefault(
-                rel_key, [0, 0])
-            rel_counts[0] += 1
-            rel_counts[1] += 1 if prevented else 0
+class _Contexts:
+    """Request contexts, one per (URL, site, resource type)."""
 
+    def __init__(self) -> None:
+        self._built: Dict[Tuple[Url, str, str], RequestContext] = {}
+
+    def of_entry(self, entry: CaptureEntry) -> Tuple[RequestContext, ...]:
+        """The contexts of the request and of its initiator chain beyond
+        the document (loader scripts)."""
+        request = entry.request
+        site = entry.site
+        return (self._context(request.url, site, request.resource_type),) \
+            + tuple(self._context(initiator, site, RESOURCE_SCRIPT)
+                    for initiator in request.initiator_chain[1:])
+
+    def _context(self, url: Url, site: str,
+                 resource_type: str) -> RequestContext:
+        key = (url, site, resource_type)
+        context = self._built.get(key)
+        if context is None:
+            context = self._built[key] = RequestContext(
+                url=str(url), resource_type=resource_type, page_domain=site,
+                is_third_party=default_list().is_third_party(
+                    url.host, "www." + site))
+        return context
+
+
+class _Tally:
+    """Table 4 rows for one kind of subject (senders or receivers).
+
+    A subject counts as blocked in a method row when every one of its
+    leak events using that method is prevented; in the combined row
+    when every relationship it leaks over by two or more methods is
+    fully prevented; in the total row when every event is.
+    """
+
+    def __init__(self) -> None:
+        #: subject -> channel -> every event prevented so far.
+        self._channels: Dict[str, Dict[str, bool]] = {}
+        #: subject -> (sender, receiver) -> (channels, every event
+        #: prevented so far).
+        self._relationships: Dict[str, Dict[Tuple[str, str],
+                                            Tuple[Set[str], bool]]] = {}
+
+    def add(self, subject: str, channel: str,
+            relationship: Tuple[str, str], prevented: bool) -> None:
+        channels = self._channels.setdefault(subject, {})
+        channels[channel] = channels.get(channel, True) and prevented
+        relationships = self._relationships.setdefault(subject, {})
+        seen, all_prevented = relationships.get(relationship,
+                                                (set(), True))
+        seen.add(channel)
+        relationships[relationship] = (seen, all_prevented and prevented)
+
+    def rows(self) -> Dict[str, Table4Cell]:
         rows: Dict[str, Table4Cell] = {}
-        for channel in ("referer", "uri", "payload", "cookie"):
-            subjects = [s for s, channels in per_channel.items()
-                        if channel in channels]
-            blocked = sum(
-                1 for s in subjects
-                if per_channel[s][channel][1] == per_channel[s][channel][0])
-            rows[channel] = Table4Cell(blocked=blocked, total=len(subjects))
-
-        combined_subjects = []
-        combined_blocked = 0
-        for subject, relationships in rel_channels.items():
-            combined_rels = [key for key, channels in relationships.items()
-                             if len(channels) >= 2]
-            if not combined_rels:
-                continue
-            combined_subjects.append(subject)
-            if all(rel_prevented[subject][key][1] ==
-                   rel_prevented[subject][key][0] for key in combined_rels):
-                combined_blocked += 1
-        rows["combined"] = Table4Cell(blocked=combined_blocked,
-                                      total=len(combined_subjects))
-
-        total_blocked = sum(1 for counts in overall.values()
-                            if counts[1] == counts[0])
-        rows["total"] = Table4Cell(blocked=total_blocked, total=len(overall))
+        for channel in _CHANNEL_ROWS:
+            flags = [channels[channel] for channels in self._channels.values()
+                     if channel in channels]
+            rows[channel] = Table4Cell(blocked=sum(flags), total=len(flags))
+        combined = [all(prevented for seen, prevented
+                        in relationships.values() if len(seen) >= 2)
+                    for relationships in self._relationships.values()
+                    if any(len(seen) >= 2
+                           for seen, _ in relationships.values())]
+        rows["combined"] = Table4Cell(blocked=sum(combined),
+                                      total=len(combined))
+        totals = [all(channels.values())
+                  for channels in self._channels.values()]
+        rows["total"] = Table4Cell(blocked=sum(totals), total=len(totals))
         return rows

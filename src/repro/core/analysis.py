@@ -12,7 +12,7 @@ and SHA256").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import hashes
 from .leakmodel import LeakEvent
@@ -55,10 +55,6 @@ class LeakRelationship:
     @property
     def uses_combined_encodings(self) -> bool:
         return len(self.encodings) >= 2
-
-    @property
-    def pii_combo(self) -> FrozenSet[str]:
-        return frozenset(self.pii_types)
 
     @property
     def seen_on_subpage(self) -> bool:

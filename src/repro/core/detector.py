@@ -17,32 +17,20 @@ Given the raw capture log of a crawl, the detector:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dnssim import CnameCloakingDetector, Resolver
 from ..obs import NULL_RECORDER, Recorder
 from ..obs.runtime import gc_paused
-from ..netsim import (
-    CaptureEntry,
-    CaptureLog,
-    HttpRequest,
-    decode_json,
-    decode_urlencoded,
-    flatten_json,
-    percent_decode,
-)
+from ..netsim import CaptureEntry, CaptureLog
 from ..psl import PublicSuffixList, default_list
 from ..websim.trackers import TrackerCatalog
-from .leakmodel import (
-    LOCATION_BODY,
-    LOCATION_COOKIE,
-    LOCATION_PATH,
-    LOCATION_QUERY,
-    LOCATION_REFERER,
-    LeakEvent,
-    channel_for_location,
-)
-from .tokens import CandidateTokenSet, TokenOrigin
+from .leakmodel import LeakEvent, channel_for_location
+from .tokens import CandidateTokenSet
+
+
+#: Attribution-cache miss marker (``None`` is a cached answer).
+_UNATTRIBUTED = object()
 
 
 @dataclass(frozen=True)
@@ -100,8 +88,10 @@ class LeakDetector:
                 if service.cloaked_zone:
                     self._cloaking.add_zone(service.cloaked_zone,
                                             service.organisation)
+        #: (request host, site) -> attribution; one per pair a log holds.
         self._attribution_cache: Dict[Tuple[str, str],
                                       Optional[_Attribution]] = {}
+        self._hits = tokens.leak_hits(self.locations)
 
     # -- public API --------------------------------------------------------
 
@@ -142,52 +132,48 @@ class LeakDetector:
         return self.run(log, include_blocked=include_blocked).events
 
     def detect_entry(self, entry: CaptureEntry) -> List[LeakEvent]:
-        """Leak events for a single capture entry."""
-        site_host = "www." + entry.site
-        attribution = self._attribute(entry.request.url.host, site_host)
+        """Leak events for a single capture entry.
+
+        The entry's parts are scanned once per distinct value for every
+        detector over the same token set and ``locations`` (see
+        :mod:`repro.core.hits`); this only attributes the request and
+        builds its events from the hits.
+        """
+        request = entry.request
+        host = request.url.host
+        attribution = self._attribution_cache.get((host, entry.site),
+                                                  _UNATTRIBUTED)
+        if attribution is _UNATTRIBUTED:
+            attribution = self._attribute(host, entry.site)
         if attribution is None:
             return []
-        events: List[LeakEvent] = []
-        seen: Set[Tuple] = set()
-        for location, parameter, text in self._scan_targets(entry.request):
-            if not text:
-                continue
-            if self.locations is not None and \
-                    location not in self.locations:
-                continue
-            for origin in self.tokens.scan_distinct(text):
-                token = self._token_for(origin, text)
-                key = (location, parameter, origin.pii_type, origin.chain)
-                if key in seen:
-                    continue
-                seen.add(key)
-                events.append(LeakEvent(
-                    sender=entry.site,
-                    receiver=attribution.receiver,
-                    request_host=entry.request.url.host,
-                    channel=channel_for_location(location),
-                    location=location,
-                    pii_type=origin.pii_type,
-                    chain=origin.chain,
-                    parameter=parameter,
-                    stage=entry.stage,
-                    url=str(entry.request.url),
-                    cloaked=attribution.cloaked,
-                    surface_form=origin.surface_form,
-                    token=token,
-                    timestamp=entry.request.timestamp,
-                ))
-        return events
+        hits = self._hits.of_request(request)
+        if not hits:
+            return []
+        url = str(request.url)
+        return [LeakEvent(sender=entry.site,
+                          receiver=attribution.receiver,
+                          request_host=host,
+                          channel=channel_for_location(location),
+                          location=location,
+                          pii_type=origin.pii_type,
+                          chain=origin.chain,
+                          parameter=parameter,
+                          stage=entry.stage,
+                          url=url,
+                          cloaked=attribution.cloaked,
+                          surface_form=origin.surface_form,
+                          token=token,
+                          timestamp=request.timestamp)
+                for location, parameter, origin, token in hits]
 
     # -- attribution --------------------------------------------------------
 
-    def _attribute(self, host: str, site_host: str) -> Optional[_Attribution]:
-        """Receiver attribution for a request host (None = first party)."""
-        cache_key = (host, site_host)
-        if cache_key in self._attribution_cache:
-            return self._attribution_cache[cache_key]
-        attribution = self._attribute_uncached(host, site_host)
-        self._attribution_cache[cache_key] = attribution
+    def _attribute(self, host: str, site: str) -> Optional[_Attribution]:
+        """Receiver attribution for a request host on ``site``'s pages
+        (None = first party), cached for :meth:`detect_entry`."""
+        attribution = self._attribute_uncached(host, "www." + site)
+        self._attribution_cache[(host, site)] = attribution
         return attribution
 
     def _attribute_uncached(self, host: str,
@@ -218,49 +204,3 @@ class LeakDetector:
             if service is not None:
                 return service.domain
         return self.psl.registrable_domain(host) or host
-
-    # -- scan target extraction ---------------------------------------------
-
-    def _scan_targets(self, request: HttpRequest):
-        """Yield (location, parameter, text) tuples to scan."""
-        url = request.url
-        for name, value in url.query:
-            yield LOCATION_QUERY, name, value
-        yield LOCATION_PATH, None, percent_decode(url.path)
-
-        referer = request.referer
-        if referer:
-            yield LOCATION_REFERER, None, percent_decode(referer)
-
-        cookie_header = request.cookie_header
-        if cookie_header:
-            for pair in cookie_header.split(";"):
-                name, _, value = pair.strip().partition("=")
-                yield LOCATION_COOKIE, name, value
-
-        if request.body:
-            yield from self._body_targets(request)
-
-    def _body_targets(self, request: HttpRequest):
-        content_type = (request.headers.get("Content-Type") or "").lower()
-        body_text = request.body_text()
-        if "json" in content_type:
-            payload = decode_json(request.body)
-            if payload is not None:
-                for key, value in flatten_json(payload):
-                    yield LOCATION_BODY, key, value
-                return
-        if "urlencoded" in content_type or ("=" in body_text
-                                            and "{" not in body_text):
-            for name, value in decode_urlencoded(request.body):
-                yield LOCATION_BODY, name, value
-            return
-        yield LOCATION_BODY, None, body_text
-
-    def _token_for(self, origin: TokenOrigin, text: str) -> str:
-        """Reconstruct the matched token for reporting."""
-        from .. import hashes
-        if not origin.chain:
-            return origin.surface_form
-        return hashes.apply_chain(origin.surface_form, origin.chain)
-

@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..netsim import CaptureEntry, CaptureLog, decode_urlencoded
+from ..netsim.stamps import Memo
 from ..psl import PublicSuffixList, default_list
 
 #: Parameter-name fragments advertising an identity payload.
@@ -84,8 +85,19 @@ class SuspectedLeak:
         return "suspected"
 
 
+#: A candidate: (location, parameter name, value).
+_Candidate = Tuple[str, str, str]
+
+
 class HeuristicDetector:
-    """Flags suspected identifier parameters in third-party traffic."""
+    """Flags suspected identifier parameters in third-party traffic.
+
+    The third-party test is made once per (request host, site), the
+    name test once per parameter name, and a body's candidates are
+    found once per (content type, body).  A memo of each URL's
+    candidates was measured and not kept: hashing a ``Url`` costs about
+    as much as testing its few parameter names.
+    """
 
     def __init__(self, psl: Optional[PublicSuffixList] = None,
                  known_tokens: Optional[Set[str]] = None) -> None:
@@ -93,38 +105,64 @@ class HeuristicDetector:
         detector, excluded here so the two result sets stay disjoint."""
         self.psl = psl or default_list()
         self.known_tokens = known_tokens or set()
+        self._third_party: Memo[Tuple[str, str], bool] = Memo(4096)
+        self._suspicious: Memo[str, bool] = Memo(4096)
+        self._body_candidates: Memo[Tuple[Optional[str], bytes],
+                                    Tuple[_Candidate, ...]] = Memo(2048)
 
-    def _candidate_pairs(self, entry: CaptureEntry):
-        request = entry.request
-        for name, value in request.url.query:
-            yield "query", name, value
-        content_type = (request.headers.get("Content-Type") or "").lower()
-        if request.body and "urlencoded" in content_type:
-            for name, value in decode_urlencoded(request.body):
-                yield "body", name, value
+    def __getstate__(self) -> Dict[str, object]:
+        # The memos are left out: an unpickled detector starts them empty.
+        return {"psl": self.psl, "known_tokens": self.known_tokens}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__init__(**state)
+
+    def _candidates(self, pairs: Iterable[Tuple[str, str]],
+                    location: str) -> List[_Candidate]:
+        known = self.known_tokens
+        suspicious = self._suspicious
+        found = []
+        for name, value in pairs:
+            flagged = suspicious.get(name)
+            if flagged is None:
+                flagged = suspicious.get_or_build(name, suspicious_parameter,
+                                                  name)
+            if flagged and looks_like_identifier(value) and \
+                    value not in known and value.lower() not in known:
+                found.append((location, name, value))
+        return found
+
+    def _body_pairs(self, content_type: Optional[str],
+                    body: bytes) -> Tuple[_Candidate, ...]:
+        if "urlencoded" not in (content_type or "").lower():
+            return ()
+        return tuple(self._candidates(decode_urlencoded(body), "body"))
 
     def detect_entry(self, entry: CaptureEntry) -> List[SuspectedLeak]:
-        site_host = "www." + entry.site
-        if not self.psl.is_third_party(entry.request.url.host, site_host):
+        request = entry.request
+        url = request.url
+        host = url.host
+        key = (host, entry.site)
+        third_party = self._third_party.get(key)
+        if third_party is None:
+            third_party = self._third_party.get_or_build(
+                key, self.psl.is_third_party, host, "www." + entry.site)
+        if not third_party:
             return []
-        findings = []
-        for location, name, value in self._candidate_pairs(entry):
-            if not suspicious_parameter(name):
-                continue
-            if not looks_like_identifier(value):
-                continue
-            if value in self.known_tokens or \
-                    value.lower() in self.known_tokens:
-                continue
-            findings.append(SuspectedLeak(
-                sender=entry.site,
-                receiver=self.psl.registrable_domain(
-                    entry.request.url.host) or entry.request.url.host,
-                parameter=name,
-                value_preview=value[:24],
-                location=location,
-                url=str(entry.request.url)))
-        return findings
+        candidates = self._candidates(url.query, "query")
+        body = request.body
+        if body:
+            content_type = request.headers.get("Content-Type")
+            candidates += self._body_candidates.get_or_build(
+                (content_type, body), self._body_pairs, content_type, body)
+        if not candidates:
+            return []
+        receiver = self.psl.registrable_domain(host) or host
+        url_text = str(url)
+        return [SuspectedLeak(sender=entry.site, receiver=receiver,
+                              parameter=name, value_preview=value[:24],
+                              location=location, url=url_text)
+                for location, name, value in candidates]
 
     def detect(self, log: CaptureLog) -> List[SuspectedLeak]:
         findings: List[SuspectedLeak] = []

@@ -66,8 +66,3 @@ class LeakEvent:
     def encoding_label(self) -> str:
         """The paper's encoding notation (``plaintext``, ``sha256 of md5``)."""
         return hashes.chain_label(self.chain)
-
-    @property
-    def is_auth_stage(self) -> bool:
-        from ..netsim import AUTH_STAGES
-        return self.stage in AUTH_STAGES

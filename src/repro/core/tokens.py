@@ -28,15 +28,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import (Dict, Generic, Iterator, List, Optional, Sequence, Tuple,
-                    TypeVar)
+from typing import (Dict, FrozenSet, Generic, Iterator, List, Optional,
+                    Sequence, Tuple, TypeVar)
 
 from .. import hashes
 from ..netsim.stamps import Memo
 from ..obs import NULL_RECORDER, Recorder
+from .hits import LeakHits
 from .persona import Persona
 
-_HEX_CHARS = set("0123456789abcdef")
+_HEX_DIGITS = "0123456789abcdef"
 
 #: Longest anchor :class:`PatternIndex` keys on; the default
 #: ``TokenSetConfig.min_token_length``.
@@ -180,7 +181,11 @@ class CandidateTokenSet:
         self.persona = persona
         self.config = config or TokenSetConfig()
         self.recorder = recorder or NULL_RECORDER
-        self._scan_distinct_memo: Memo[str, List[TokenOrigin]] = Memo(8192)
+        self._scan_distinct_memo: Memo[str, Tuple[TokenOrigin, ...]] = \
+            Memo(8192)
+        #: locations filter -> the leak hits of the request parts
+        #: scanned under it (see :meth:`leak_hits`).
+        self._leak_hits: Dict[Optional[FrozenSet[str]], LeakHits] = {}
         if compiled is not None:
             if (compiled.persona, compiled.config) != (persona, self.config):
                 raise ValueError("compiled token set was built for another "
@@ -200,6 +205,13 @@ class CandidateTokenSet:
             self._generate()
             self._index.build()
         self.replay_funnel(self.recorder)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The memos are left out: an unpickled set starts them empty.
+        state = dict(self.__dict__)
+        state["_scan_distinct_memo"] = Memo(self._scan_distinct_memo.limit)
+        state["_leak_hits"] = {}
+        return state
 
     # -- generation --------------------------------------------------------
 
@@ -299,22 +311,34 @@ class CandidateTokenSet:
             return []
         return self._index.find_all(text)
 
-    def scan_distinct(self, text: str) -> List[TokenOrigin]:
+    def scan_distinct(self, text: str) -> Tuple[TokenOrigin, ...]:
         """Distinct origins whose token occurs in ``text``.
 
         Results are memoised per text: the same header values, URLs and
         cookie strings recur across thousands of captured requests, and
-        the origin list is a pure function of the (immutable) token set.
+        the origins are a pure function of the (immutable) token set.
+        The memoised tuple itself is returned, not a copy.
         """
-        return list(self._scan_distinct_memo.get_or_build(
-            text, self._distinct_origins, text))
+        return self._scan_distinct_memo.get_or_build(
+            text, self._distinct_origins, text)
 
-    def _distinct_origins(self, text: str) -> List[TokenOrigin]:
+    def _distinct_origins(self, text: str) -> Tuple[TokenOrigin, ...]:
         seen: List[TokenOrigin] = []
         for match in self.scan(text):
             if match.payload not in seen:
                 seen.append(match.payload)
-        return seen
+        return tuple(seen)
+
+    def leak_hits(self, locations: Optional[FrozenSet[str]] = None
+                  ) -> LeakHits:
+        """The request-part hits under ``locations`` (``None``: all),
+        shared by every detector over this set with the same filter;
+        detectors with different filters never share hits."""
+        hits = self._leak_hits.get(locations)
+        if hits is None:
+            hits = self._leak_hits.setdefault(locations,
+                                              LeakHits(self, locations))
+        return hits
 
     def contains_leak(self, text: str) -> bool:
         """Fast check: does ``text`` contain any candidate token?"""
@@ -322,4 +346,6 @@ class CandidateTokenSet:
 
 
 def _is_hex(token: str) -> bool:
-    return len(token) >= 8 and all(ch in _HEX_CHARS for ch in token)
+    # Stripping every hex digit from both ends leaves nothing exactly
+    # when the token is all hex digits: one C-level pass.
+    return len(token) >= 8 and not token.strip(_HEX_DIGITS)

@@ -63,11 +63,6 @@ _K_LEFT_128 = (0x00000000, 0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC)
 _K_RIGHT_128 = (0x50A28BE6, 0x5C4DD124, 0x6D703EF3, 0x00000000)
 
 
-def _rol(value: int, amount: int) -> int:
-    value &= _MASK
-    return ((value << amount) | (value >> (32 - amount))) & _MASK
-
-
 def _f1(x: int, y: int, z: int) -> int:
     return x ^ y ^ z
 
@@ -114,8 +109,9 @@ def _round5_line(
         shifts = s_table[round_index]
         for j in range(16):
             t = (a + func(b, c, d) + words[selection[j]] + k) & _MASK
-            t = (_rol(t, shifts[j]) + e) & _MASK
-            a, b, c, d, e = e, t, b, _rol(c, 10), d
+            shift = shifts[j]
+            t = (((t << shift) | (t >> (32 - shift))) + e) & _MASK
+            a, b, c, d, e = e, t, b, ((c << 10) | (c >> 22)) & _MASK, d
     return a, b, c, d, e
 
 
@@ -135,7 +131,8 @@ def _round4_line(
         shifts = s_table[round_index]
         for j in range(16):
             t = (a + func(b, c, d) + words[selection[j]] + k) & _MASK
-            t = _rol(t, shifts[j])
+            shift = shifts[j]
+            t = ((t << shift) | (t >> (32 - shift))) & _MASK
             a, b, c, d = d, t, b, c
     return a, b, c, d
 
@@ -199,7 +196,8 @@ def _round4_line_single(words, state, selection, shifts, k, func):
     a, b, c, d = state
     for j in range(16):
         t = (a + func(b, c, d) + words[selection[j]] + k) & _MASK
-        t = _rol(t, shifts[j])
+        shift = shifts[j]
+        t = ((t << shift) | (t >> (32 - shift))) & _MASK
         a, b, c, d = d, t, b, c
     return a, b, c, d
 
@@ -208,8 +206,9 @@ def _round5_line_single(words, state, selection, shifts, k, func):
     a, b, c, d, e = state
     for j in range(16):
         t = (a + func(b, c, d) + words[selection[j]] + k) & _MASK
-        t = (_rol(t, shifts[j]) + e) & _MASK
-        a, b, c, d, e = e, t, b, _rol(c, 10), d
+        shift = shifts[j]
+        t = (((t << shift) | (t >> (32 - shift))) + e) & _MASK
+        a, b, c, d, e = e, t, b, ((c << 10) | (c >> 22)) & _MASK, d
     return a, b, c, d, e
 
 

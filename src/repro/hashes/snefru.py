@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import List, Tuple
+import sys
+from array import array
+from typing import List, Sequence, Tuple
 
 #: False because the original Xerox S-box tables are replaced.
 FAITHFUL = False
@@ -27,6 +29,12 @@ _MASK = 0xFFFFFFFF
 _SECURITY_LEVEL = 8  # Snefru 2.0 uses eight passes.
 _ROTATIONS = (16, 8, 16, 24)
 _INPUT_WORDS = 16  # the compression function always mixes 16 words
+
+if array("I").itemsize != 4:
+    raise ImportError("Snefru's rotated S-boxes need 4-byte array items")
+
+#: One step of a round (see :func:`_build_schedule`).
+Step = Tuple[int, int, int, Sequence[int]]
 
 
 def _build_sboxes() -> Tuple[Tuple[int, ...], ...]:
@@ -46,9 +54,57 @@ def _build_sboxes() -> Tuple[Tuple[int, ...], ...]:
 _SBOXES = _build_sboxes()
 
 
-def _ror(value: int, amount: int) -> int:
-    value &= _MASK
-    return ((value >> amount) | (value << (32 - amount))) & _MASK
+def _rotated(sbox: Tuple[int, ...], amount: int) -> Sequence[int]:
+    """``sbox`` with every entry rotated left by ``amount`` bits, a
+    multiple of 8; a 32-bit array (4 bytes an entry) for the rotated
+    copies.  Rotating a big-endian word by whole bytes moves its bytes,
+    so the copy is made by byte slicing."""
+    if amount == 0:
+        return sbox
+    words = struct.pack(">%dI" % len(sbox), *sbox)
+    shift = amount // 8
+    rotated = bytearray(len(words))
+    for offset in range(4):
+        rotated[offset::4] = words[(offset + shift) % 4::4]
+    table = array("I")
+    table.frombytes(rotated)
+    if sys.byteorder == "little":
+        table.byteswap()
+    return table
+
+
+def _build_schedule() -> Tuple[Tuple[Tuple[int, Tuple[Step, ...]], ...],
+                               ...]:
+    """Per pass, per round, the rotation the state has accumulated and
+    the round's 16 steps.
+
+    The compression function rotates all 16 words right after every
+    round.  Rotation distributes over XOR, so the state can stay
+    unrotated instead: with ``shift`` bits of rotation owed, a word's
+    low byte is its byte ``shift // 8``, and an S-box entry XORed in
+    must be rotated left by ``shift`` first.  The rotations of a pass
+    (16, 8, 16, 24) add up to 64 bits, so the owed rotation is 0, 16,
+    24 and 8 at the rounds' starts and 0 again at the pass's end.  A
+    step is (word, its successor, its predecessor, the S-box it indexes,
+    rotated by the owed shift).
+    """
+    schedule = []
+    for pass_index in range(_SECURITY_LEVEL):
+        boxes = (_SBOXES[2 * pass_index], _SBOXES[2 * pass_index + 1])
+        rounds = []
+        shift = 0
+        for rotation in _ROTATIONS:
+            tables = [_rotated(box, shift) for box in boxes]
+            rounds.append((shift, tuple(
+                (i, (i + 1) % _INPUT_WORDS, (i - 1) % _INPUT_WORDS,
+                 tables[(i // 2) & 1])
+                for i in range(_INPUT_WORDS))))
+            shift = (shift + rotation) % 32
+        schedule.append(tuple(rounds))
+    return tuple(schedule)
+
+
+_SCHEDULE = _build_schedule()
 
 
 def _compress(block_words: List[int]) -> List[int]:
@@ -56,18 +112,17 @@ def _compress(block_words: List[int]) -> List[int]:
 
     ``block_words`` must contain exactly 16 32-bit words: the chaining value
     followed by the message chunk.  Returns the full mixed state; callers
-    truncate to the output size.
+    truncate to the output size.  The state is kept unrotated (see
+    :func:`_build_schedule`); every word stays below 2**32, since the
+    S-box entries are 32-bit.
     """
     state = list(block_words)
-    for pass_index in range(_SECURITY_LEVEL):
-        for rotation in _ROTATIONS:
-            for i in range(_INPUT_WORDS):
-                sbox = _SBOXES[2 * pass_index + ((i // 2) & 1)]
-                entry = sbox[state[i] & 0xFF]
-                state[(i + 1) % _INPUT_WORDS] ^= entry
-                state[(i - 1) % _INPUT_WORDS] ^= entry
-            for i in range(_INPUT_WORDS):
-                state[i] = _ror(state[i], rotation)
+    for rounds in _SCHEDULE:
+        for shift, steps in rounds:
+            for i, after, before, sbox in steps:
+                entry = sbox[(state[i] >> shift) & 0xFF]
+                state[after] ^= entry
+                state[before] ^= entry
     return [(block_words[i] ^ state[_INPUT_WORDS - 1 - i]) & _MASK
             for i in range(_INPUT_WORDS)]
 

@@ -141,17 +141,6 @@ class TaintAnalysis:
 
     # -- public ----------------------------------------------------------
 
-    def function_bodies(self, tree: ast.Module,
-                        ) -> List[Tuple[str, List[ast.stmt]]]:
-        """Every analysis scope in ``tree``: (scope name, body).
-
-        The module top-level is one scope; every (async) function —
-        nested ones included — is another.  Class bodies are *not*
-        scopes of their own (their statements run at module scope), but
-        methods inside them are.
-        """
-        return [(name, body) for name, _, body in self.scopes(tree)]
-
     def scopes(self, tree: ast.Module,
                ) -> List[Tuple[str, Optional[str], List[ast.stmt]]]:
         """Every analysis scope with its enclosing class:

@@ -66,9 +66,6 @@ class TrackIdAnalyzer:
         result.sort(key=lambda p: (-p.sender_count, p.receiver, p.parameter))
         return result
 
-    def parameters_of(self, receiver: str) -> List[TrackIdParameter]:
-        return [p for p in self.parameters() if p.receiver == receiver]
-
     def receivers_with_stable_id(self, min_senders: int = 2) -> List[str]:
         """Receivers whose identifier parameter recurs across senders.
 

@@ -51,9 +51,6 @@ class Population:
     def site_list(self) -> List[Website]:
         return list(self.sites.values())
 
-    def crawlable_sites(self) -> List[Website]:
-        return [site for site in self.sites.values() if site.is_crawlable]
-
 
 def build_zone(sites: Dict[str, Website], catalog: TrackerCatalog) -> Zone:
     """DNS data for every origin in the population.

@@ -30,7 +30,7 @@ from .site import (
     signin_form,
     signup_form,
 )
-from .trackers import TrackerCatalog
+from .trackers import TrackerCatalog, TrackerService
 
 #: Domain of the CAPTCHA provider whose script Brave's Shields blocks —
 #: the mechanism behind the paper's nykaa.com sign-up failure (§7.1).
@@ -49,6 +49,12 @@ _HOME_LINKS = ((PAGE_PATHS[PAGE_SIGNUP], "Create account"),
                (PAGE_PATHS[PAGE_PRODUCT], "Aurora Lamp"),
                ("/privacy", "Privacy policy"))
 _ACCOUNT_LINKS = (("/account", "Your account"),)
+
+#: Routes of a request host (see `WebServer._route`).
+_ROUTE_SITE = "site"
+_ROUTE_TRACKER = "tracker"
+_ROUTE_CMP = "cmp"
+_ROUTE_NONE = "none"
 
 #: A response's header fields.
 _Fields = Tuple[Tuple[str, str], ...]
@@ -95,6 +101,10 @@ class WebServer:
     _bodies: Memo[str, bytes] = field(
         default_factory=lambda: Memo(256), init=False, repr=False,
         compare=False)
+    #: request host -> who answers it (see :meth:`_route`).
+    _routes: Memo[str, Tuple[str, object]] = field(
+        default_factory=lambda: Memo(1024), init=False, repr=False,
+        compare=False)
 
     # -- checkpoint journal ----------------------------------------------
 
@@ -119,19 +129,36 @@ class WebServer:
 
     def handle(self, request: HttpRequest) -> HttpResponse:
         host = request.url.host
+        kind, answerer = self._routes.get(host) or self._routes.get_or_build(
+            host, self._route, host)
+        if kind == _ROUTE_SITE:
+            if answerer.auth.unreachable:
+                return self._reply(503, b"service unavailable")
+            return self._site_response(answerer, request)
+        if kind == _ROUTE_TRACKER:
+            return self._tracker_response(request, answerer)
+        if kind == _ROUTE_CMP:
+            return self._cmp_response(request)
+        return self._reply(404, b"no such origin")
+
+    def _route(self, host: str) -> Tuple[str, object]:
+        """Who answers ``host``: a site (its pages), a tracker service
+        (its endpoints, also behind a site's cloaked CNAME subdomain),
+        a consent platform, or nobody.  Fixed per host, so decided once;
+        the sites, their CNAME records and the catalog do not change
+        once the server is serving."""
         site = self._site_for_host(host)
         if site is not None:
             cloaked = site.cname_records.get(host.split(".")[0])
-            if cloaked is not None and host != site.www_host:
-                return self._tracker_response(request)
-            if site.auth.unreachable:
-                return self._reply(503, b"service unavailable")
-            return self._site_response(site, request)
-        if self.catalog.attribute_host(host) is not None:
-            return self._tracker_response(request)
+            if cloaked is None or host == site.www_host:
+                return _ROUTE_SITE, site
+            return _ROUTE_TRACKER, self.catalog.attribute_host(host)
+        service = self.catalog.attribute_host(host)
+        if service is not None:
+            return _ROUTE_TRACKER, service
         if self._is_cmp_host(host):
-            return self._cmp_response(request)
-        return self._reply(404, b"no such origin")
+            return _ROUTE_CMP, None
+        return _ROUTE_NONE, None
 
     def _reply(self, status: int, body: bytes = b"",
                fields: _Fields = ()) -> HttpResponse:
@@ -276,8 +303,9 @@ class WebServer:
 
     # -- third-party endpoints --------------------------------------------
 
-    def _tracker_response(self, request: HttpRequest) -> HttpResponse:
-        service = self.catalog.attribute_host(request.url.host)
+    def _tracker_response(self, request: HttpRequest,
+                          service: Optional[TrackerService]) -> HttpResponse:
+        """A tracker endpoint's reply; ``service`` operates the host."""
         if request.url.path.endswith(".js") or \
                 request.resource_type == "script":
             fields, body = _JS_FIELDS, b"/* tracking snippet */"

@@ -291,10 +291,3 @@ def build_default_catalog() -> TrackerCatalog:
         catalog.add(service)
     return catalog
 
-
-#: Domains of services that set third-party cookies / run tracking scripts,
-#: i.e. what Brave Shields and the blocklists conceptually target.
-def tracking_domains(catalog: TrackerCatalog) -> List[str]:
-    return [s.domain for s in catalog.services()
-            if s.sets_cookie and s.domain not in
-            {b.domain for b in BENIGN_SERVICES}]

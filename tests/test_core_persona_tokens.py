@@ -1,6 +1,7 @@
 """Persona surface forms and candidate-token precomputation (§3.1)."""
 
 import gc
+import hashlib
 from itertools import product
 
 import pytest
@@ -100,8 +101,22 @@ def test_scan_finds_embedded_token(token_set):
                for o in origins)
 
 
+def test_token_table_pinned(token_set):
+    # Every token with its origins, in table order: a faster generator
+    # (transforms, hex test) must build exactly this table.
+    digest = hashlib.sha256()
+    for token in token_set.tokens():
+        for origin in token_set.origins_of(token):
+            digest.update(("%s\t%s\t%s\t%s\n" % (
+                token, origin.pii_type, origin.surface_form,
+                ",".join(origin.chain))).encode())
+    assert token_set.token_count == 3478
+    assert digest.hexdigest() == (
+        "17fd0d2289f6ad2b2ba82980d8d30513ae89c84c89484ab9e6ecbcfbed5df78b")
+
+
 def test_scan_clean_text_empty(token_set):
-    assert token_set.scan_distinct("https://t.net/p?uid=nothing") == []
+    assert token_set.scan_distinct("https://t.net/p?uid=nothing") == ()
     assert not token_set.contains_leak("benign text")
     assert token_set.scan("") == []
 

@@ -40,6 +40,26 @@ def test_ripemd128_vectors(message, expected):
     assert ripemd128_hexdigest(message) == expected
 
 
+#: Published vectors of the double-width variants (RIPEMD home page).
+DOUBLE_WIDTH_VECTORS = [
+    (ripemd256_hexdigest, b"",
+     "02ba4c4e5f8ecd1877fc52d64d30e37a2d9774fb1e5d026380ae0168e3c5522d"),
+    (ripemd256_hexdigest, b"abc",
+     "afbd6e228b9d8cbbcef5ca2d03e6dba10ac0bc7dcbe4680e1e42d2e975459b65"),
+    (ripemd320_hexdigest, b"",
+     "22d65d5661536cdc75c1fdf5c6de7b41b9f27325"
+     "ebc61e8557177d705a0ec880151c3a32a00899b8"),
+    (ripemd320_hexdigest, b"abc",
+     "de4c01b3054f8930a79d09ae738e92301e5a1708"
+     "5beffdc1b8d116713e74f82fa942d64cdbc4682d"),
+]
+
+
+@pytest.mark.parametrize("func,message,expected", DOUBLE_WIDTH_VECTORS)
+def test_double_width_vectors(func, message, expected):
+    assert func(message) == expected
+
+
 def _openssl_ripemd160_available():
     try:
         hashlib.new("ripemd160")
