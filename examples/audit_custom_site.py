@@ -9,7 +9,7 @@ that would catch each leak — before any real user types anything.
 Run:  python examples/audit_custom_site.py
 """
 
-from repro.blocklist import BlocklistEvaluator, default_rule_sets
+from repro.blocklist import BlocklistEvaluator
 from repro.core import CandidateTokenSet, LeakAnalysis, LeakDetector
 from repro.core.persona import DEFAULT_PERSONA
 from repro.crawler import StudyCrawler
@@ -66,7 +66,7 @@ def main() -> None:
               % ("YES" if rel.seen_on_subpage else "no"))
 
     # Which of the user's leaks would common protections have caught?
-    evaluator = BlocklistEvaluator(detector, default_rule_sets())
+    evaluator = BlocklistEvaluator(detector)
     report = evaluator.evaluate(dataset.log)
     print("\nWould filter lists have stopped this?")
     for list_name in ("easylist", "easyprivacy", "combined"):

@@ -16,7 +16,7 @@ method are prevented, mirroring the paper's per-method percentages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..core.detector import LeakDetector
 from ..netsim import CaptureEntry, CaptureLog, RESOURCE_SCRIPT, Url
@@ -65,10 +65,10 @@ class BlocklistEvaluator:
     per (URL, site, resource type) and matched once per rule set.
     """
 
-    def __init__(self, detector: LeakDetector,
-                 rule_sets: Optional[Dict[str, RuleSet]] = None) -> None:
+    def __init__(self, detector: LeakDetector) -> None:
         self.detector = detector
-        self.rule_sets = rule_sets or default_rule_sets()
+        #: Table 4's columns: :func:`default_rule_sets`.
+        self.rule_sets = default_rule_sets()
 
     # -- request-level matching ------------------------------------------
 

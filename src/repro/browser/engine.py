@@ -163,12 +163,10 @@ class Browser:
 
     def __init__(self, profile: BrowserProfile, server: WebServer,
                  resolver: Resolver, catalog: TrackerCatalog,
-                 clock: Optional[SimClock] = None,
                  extension: Optional[ContentBlocker] = None,
                  firewall: Optional[OutboundFirewall] = None,
                  consent_policy: str = CONSENT_ACCEPT_ALL,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreakerRegistry] = None) -> None:
+                 retry_policy: Optional[RetryPolicy] = None) -> None:
         """``extension`` is an optional content blocker satisfying
         :class:`~repro.browser.interfaces.ContentBlocker` (see
         :class:`repro.blocklist.AdblockExtension`).  ``firewall`` is an
@@ -179,9 +177,11 @@ class Browser:
         them all (the default).  ``retry_policy`` enables the resilient
         network path (per-request timeouts, retry with backoff + jitter);
         without it every exchange is attempted exactly once, preserving
-        the historical deterministic behaviour.  ``breaker`` quarantines
-        origins that keep failing at the transport level; it defaults to a
-        fresh registry whenever a retry policy is supplied."""
+        the historical deterministic behaviour.  With a retry policy the
+        browser also keeps a :class:`CircuitBreakerRegistry`
+        (``breaker``), which quarantines origins that keep failing at the
+        transport level.  Each browser keeps its own :class:`SimClock`
+        (``clock``), so two crawls never share simulated time."""
         if consent_policy not in CONSENT_POLICIES:
             raise ValueError("unknown consent policy: %r" % consent_policy)
         ensure_protocol(extension, ContentBlocker, "extension")
@@ -190,14 +190,13 @@ class Browser:
         self.server = server
         self.resolver = resolver
         self.catalog = catalog
-        self.clock = clock or SimClock()
+        self.clock = SimClock()
         self.extension = extension
         self.firewall = firewall
         self.consent_policy = consent_policy
         self.retry_policy = retry_policy
-        if breaker is None and retry_policy is not None:
-            breaker = CircuitBreakerRegistry()
-        self.breaker = breaker
+        self.breaker = (CircuitBreakerRegistry()
+                        if retry_policy is not None else None)
         #: Why the most recent exchange failed (for the flow runner).
         self.last_failure: Optional[RequestFailure] = None
         self._consent_decisions: Dict[str, str] = {}

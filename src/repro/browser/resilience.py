@@ -73,10 +73,10 @@ class CircuitBreakerRegistry:
     earlier :attr:`journal_version`.
     """
 
-    def __init__(self, threshold: int = 3) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        self.threshold = threshold
+    #: Consecutive transport failures that open an origin's breaker.
+    threshold = 3
+
+    def __init__(self) -> None:
         self._consecutive: Dict[str, int] = {}
         self._open: Set[str] = set()
         self._changes: ChangeStamps[str] = ChangeStamps()

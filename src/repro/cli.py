@@ -47,6 +47,10 @@ def _study_for_args(args: argparse.Namespace, study_config) -> Study:
     config = study_config.replace(
         workers=getattr(args, "workers", 1) or 1,
         num_shards=getattr(args, "shards", None))
+    if config.num_shards is not None and config.workers < 2:
+        raise SystemExit(
+            "repro-study: error: --shards requires --workers >= 2 (the "
+            "serial crawl at one worker is unsharded)")
     if getattr(args, "trace", None):
         config = config.with_observability()
     progress = _progress_sink(args)
@@ -433,8 +437,8 @@ def _add_parallel_args(sub: argparse.ArgumentParser) -> None:
                           "is identical for every N")
     sub.add_argument("--shards", type=int, default=None, metavar="M",
                      help="partition the site list into M deterministic "
-                          "shards (default: automatic, independent of "
-                          "--workers)")
+                          "shards (requires --workers >= 2; default: "
+                          "automatic, independent of --workers)")
 
 
 def _add_supervision_args(sub: argparse.ArgumentParser) -> None:

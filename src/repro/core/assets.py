@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..obs import Recorder
-from ..psl import PublicSuffixList, default_list
 from .detector import LeakDetector
 from .persona import Persona
 from .tokens import CandidateTokenSet, TokenSetConfig
@@ -50,22 +49,19 @@ class CompiledStudyAssets:
 
     def __init__(self, population, *,
                  population_spec=None,
-                 token_config: Optional[TokenSetConfig] = None,
-                 psl: Optional[PublicSuffixList] = None) -> None:
+                 token_config: Optional[TokenSetConfig] = None) -> None:
         self.population = population
         self.population_spec = population_spec
         self.token_config = token_config
-        self.psl = psl or default_list()
         self._tokens: Optional[CandidateTokenSet] = None
 
     @classmethod
     def for_population(cls, population, *, population_spec=None,
-                       token_config: Optional[TokenSetConfig] = None,
-                       psl: Optional[PublicSuffixList] = None
+                       token_config: Optional[TokenSetConfig] = None
                        ) -> "CompiledStudyAssets":
         """The single public construction path for live assets."""
         return cls(population, population_spec=population_spec,
-                   token_config=token_config, psl=psl)
+                   token_config=token_config)
 
     # -- identity ---------------------------------------------------------
 
@@ -108,16 +104,12 @@ class CompiledStudyAssets:
         """
         self.tokens().replay_funnel(recorder)
 
-    def detector(self, recorder: Optional[Recorder] = None,
-                 scan_first_party: bool = False,
-                 locations=None,
-                 fault_plan=None) -> LeakDetector:
-        """A :class:`LeakDetector` over the compiled token set."""
+    def detector(self, recorder: Optional[Recorder] = None) -> LeakDetector:
+        """A :class:`LeakDetector` over the compiled token set, the
+        population's catalog and its fault-free resolver."""
         return LeakDetector(self.tokens(), catalog=self.catalog,
-                            resolver=self.population.resolver(fault_plan),
-                            psl=self.psl,
-                            scan_first_party=scan_first_party,
-                            locations=locations, recorder=recorder)
+                            resolver=self.population.resolver(),
+                            recorder=recorder)
 
 
 #: Process-local memo of built token sets (see

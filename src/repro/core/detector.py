@@ -23,7 +23,7 @@ from ..dnssim import CnameCloakingDetector, Resolver
 from ..obs import NULL_RECORDER, Recorder
 from ..obs.runtime import gc_paused
 from ..netsim import CaptureEntry, CaptureLog
-from ..psl import PublicSuffixList, default_list
+from ..psl import default_list
 from ..websim.trackers import TrackerCatalog
 from .leakmodel import LeakEvent, channel_for_location
 from .tokens import CandidateTokenSet
@@ -63,8 +63,6 @@ class LeakDetector:
     def __init__(self, tokens: CandidateTokenSet,
                  catalog: Optional[TrackerCatalog] = None,
                  resolver: Optional[Resolver] = None,
-                 psl: Optional[PublicSuffixList] = None,
-                 scan_first_party: bool = False,
                  locations: Optional[Sequence[str]] = None,
                  recorder: Optional[Recorder] = None) -> None:
         """``locations`` restricts which request parts are scanned (for
@@ -76,10 +74,9 @@ class LeakDetector:
         self.tokens = tokens
         self.recorder = recorder or NULL_RECORDER
         self.catalog = catalog
-        self.psl = psl or default_list()
-        self.scan_first_party = scan_first_party
+        self.psl = default_list()
         self.locations = frozenset(locations) if locations else None
-        self._cloaking = (CnameCloakingDetector(resolver, psl=self.psl)
+        self._cloaking = (CnameCloakingDetector(resolver)
                           if resolver is not None else None)
         if self._cloaking is not None and catalog is not None:
             # Catalog-declared cloaking zones extend the published
@@ -96,20 +93,20 @@ class LeakDetector:
     # -- public API --------------------------------------------------------
 
     @gc_paused
-    def run(self, log: CaptureLog,
-            include_blocked: bool = False) -> DetectionResult:
+    def run(self, log: CaptureLog) -> DetectionResult:
         """One pass over a capture log: events *and* leaking entries.
 
-        With a recorder attached, the §4.1 detection funnel becomes
-        visible as counters: how many entries were scanned vs. skipped
-        as blocked, how many produced at least one event, and how many
-        events survived in total.
+        Entries a blocker stopped never left the browser, so they are
+        skipped, not scanned.  With a recorder attached, the §4.1
+        detection funnel becomes visible as counters: how many entries
+        were scanned vs. skipped as blocked, how many produced at least
+        one event, and how many events survived in total.
         """
         events: List[LeakEvent] = []
         leaking_entries: List[CaptureEntry] = []
         scanned = skipped = 0
         for entry in log:
-            if entry.was_blocked and not include_blocked:
+            if entry.was_blocked:
                 skipped += 1
                 continue
             scanned += 1
@@ -126,10 +123,9 @@ class LeakDetector:
                                entries_scanned=scanned,
                                entries_blocked_skipped=skipped)
 
-    def detect(self, log: CaptureLog,
-               include_blocked: bool = False) -> List[LeakEvent]:
+    def detect(self, log: CaptureLog) -> List[LeakEvent]:
         """All leak events in a capture log (see :meth:`run`)."""
-        return self.run(log, include_blocked=include_blocked).events
+        return self.run(log).events
 
     def detect_entry(self, entry: CaptureEntry) -> List[LeakEvent]:
         """Leak events for a single capture entry.
@@ -193,9 +189,6 @@ class LeakDetector:
                 return _Attribution(receiver=verdict.tracker_zone,
                                     cloaked=True)
         self.recorder.count("detector.attribution.first_party")
-        if self.scan_first_party:
-            return _Attribution(receiver=self._service_domain(host),
-                                cloaked=False)
         return None
 
     def _service_domain(self, host: str) -> str:

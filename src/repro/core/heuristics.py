@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..netsim import CaptureEntry, CaptureLog, decode_urlencoded
 from ..netsim.stamps import Memo
-from ..psl import PublicSuffixList, default_list
+from ..psl import default_list
 
 #: Parameter-name fragments advertising an identity payload.
 _NAME_PATTERNS = (
@@ -99,11 +99,10 @@ class HeuristicDetector:
     as much as testing its few parameter names.
     """
 
-    def __init__(self, psl: Optional[PublicSuffixList] = None,
-                 known_tokens: Optional[Set[str]] = None) -> None:
+    def __init__(self, known_tokens: Optional[Set[str]] = None) -> None:
         """``known_tokens``: values already confirmed by the exact
         detector, excluded here so the two result sets stay disjoint."""
-        self.psl = psl or default_list()
+        self.psl = default_list()
         self.known_tokens = known_tokens or set()
         self._third_party: Memo[Tuple[str, str], bool] = Memo(4096)
         self._suspicious: Memo[str, bool] = Memo(4096)
@@ -112,7 +111,7 @@ class HeuristicDetector:
 
     def __getstate__(self) -> Dict[str, object]:
         # The memos are left out: an unpickled detector starts them empty.
-        return {"psl": self.psl, "known_tokens": self.known_tokens}
+        return {"known_tokens": self.known_tokens}
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__init__(**state)

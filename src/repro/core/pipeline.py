@@ -26,7 +26,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..browser import BrowserProfile, RetryPolicy, vanilla_firefox
 from ..crawler import CrawlDataset, CrawlSession, StudyCrawler
 from ..crawler.runner import step_session
 from ..mailsim import KIND_MARKETING
@@ -46,19 +45,26 @@ from .tokens import CandidateTokenSet, TokenSetConfig
 class StudyConfig:
     """Tunables for a full study run (all fields keyword-only).
 
-    ``fault_plan`` injects seeded network faults into the crawl (see
+    The crawl runs under the paper's browser,
+    :func:`~repro.browser.vanilla_firefox`.  ``fault_plan`` injects
+    seeded network faults into the crawl (see
     :mod:`repro.netsim.faults`); when set, the crawler runs its resilient
-    network path with ``retry_policy`` (defaulting to a standard
-    :class:`~repro.browser.RetryPolicy`).
+    network path with a standard :class:`~repro.browser.RetryPolicy`.
+    At ``workers=1`` the crawl advances ``fault_plan`` itself: its
+    counters and event log move, so crawling the same config again
+    draws a different fault stream.  At ``workers >= 2`` every shard
+    crawls a :meth:`~repro.netsim.faults.FaultPlan.fresh_copy`, the
+    plan is left as it was, and a second crawl repeats the first.
 
     ``workers`` selects the crawl engine: ``1`` (default) is the
     historical single-session serial crawl; ``N > 1`` fans the
     population's shards out over N worker processes via
     :class:`~repro.crawler.ParallelCrawler` and merges to a dataset
     whose fingerprint is invariant to the worker count.  ``num_shards``
-    pins the shard layout (default:
+    pins the shard layout of that engine (default:
     :func:`~repro.crawler.default_shard_count`, which is independent of
-    ``workers`` so fingerprints stay comparable across machines).
+    ``workers`` so fingerprints stay comparable across machines); the
+    serial crawl at ``workers=1`` is unsharded and does not read it.
 
     ``recorder`` opts the whole pipeline into structured tracing (see
     :mod:`repro.obs`); prefer :meth:`with_observability` over setting
@@ -87,21 +93,19 @@ class StudyConfig:
     ``workers > 1``.  Both are inert on the serial path.
 
     ``assets`` (a :class:`~repro.core.assets.CompiledStudyAssets`)
-    supplies a prebuilt compile-once bundle — token index, PSL — for
+    supplies a prebuilt compile-once bundle — the token index — for
     the hot path; ``None`` (the default) lets the study compile its own
     on first use.  Pass one to share compiled state across several
     studies over the same population.
     """
 
-    _FIELDS = ("profile", "token_config", "fault_plan", "retry_policy",
-               "workers", "num_shards", "recorder", "progress",
-               "resources", "supervision", "chaos", "assets")
+    _FIELDS = ("token_config", "fault_plan", "workers", "num_shards",
+               "recorder", "progress", "resources", "supervision", "chaos",
+               "assets")
 
     def __init__(self, *,
-                 profile: Optional[BrowserProfile] = None,
                  token_config: Optional[TokenSetConfig] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
                  workers: int = 1,
                  num_shards: Optional[int] = None,
                  recorder: Optional[Recorder] = None,
@@ -110,10 +114,8 @@ class StudyConfig:
                  supervision: Optional[object] = None,
                  chaos: Optional[object] = None,
                  assets: Optional[CompiledStudyAssets] = None) -> None:
-        self.profile = profile
         self.token_config = token_config
         self.fault_plan = fault_plan
-        self.retry_policy = retry_policy
         self.workers = workers
         self.num_shards = num_shards
         self.recorder = recorder
@@ -286,10 +288,8 @@ class Study:
 
     def crawler(self) -> StudyCrawler:
         """The configured serial crawler (fault plan and retries applied)."""
-        profile = self.config.profile or vanilla_firefox()
-        return StudyCrawler(self.population, profile=profile,
+        return StudyCrawler(self.population,
                             fault_plan=self.config.fault_plan,
-                            retry_policy=self.config.retry_policy,
                             recorder=self.config.recorder)
 
     def crawl(self, checkpoint: Optional[str] = None,
@@ -362,9 +362,7 @@ class Study:
                                assets=self.assets(),
                                workers=self.config.workers,
                                num_shards=self.config.num_shards,
-                               profile=self.config.profile or vanilla_firefox(),
                                fault_plan=self.config.fault_plan,
-                               retry_policy=self.config.retry_policy,
                                checkpoint_dir=checkpoint_dir,
                                recorder=self.config.recorder,
                                progress=self.config.progress,

@@ -144,9 +144,7 @@ class ShardJob:
 
     population: Population
     shard: ShardInfo
-    profile: Optional[object] = None          # BrowserProfile
     fault_plan: Optional[FaultPlan] = None    # fresh per-shard copy
-    retry_policy: Optional[object] = None     # RetryPolicy
     checkpoint_path: Optional[str] = None
     #: Record a per-shard observability trace (spans + metrics) and
     #: ship it back with the result.  Off by default: tracing must
@@ -188,8 +186,7 @@ def _session_for_job(job: ShardJob) -> CrawlSession:
         return CrawlSession.load(job.checkpoint_path, job.population,
                                  expect_shard=job.shard)
     crawler = StudyCrawler(
-        job.population, profile=job.profile, fault_plan=job.fault_plan,
-        retry_policy=job.retry_policy,
+        job.population, fault_plan=job.fault_plan,
         recorder=Recorder() if job.trace else None)
     return crawler.start(shard=job.shard)
 
@@ -331,7 +328,10 @@ class ParallelCrawler:
     processes (see :class:`~repro.crawler.supervisor.ShardSupervisor`)
     and merges to the bit-identical dataset.  ``num_shards`` defaults to
     :func:`~repro.crawler.sharding.default_shard_count` and is
-    deliberately independent of ``workers``.
+    deliberately independent of ``workers``.  Every shard crawls under
+    the paper's browser (:func:`~repro.browser.vanilla_firefox`) and,
+    given a ``fault_plan``, with a standard
+    :class:`~repro.browser.RetryPolicy`.
 
     ``assets`` (a :class:`~repro.core.assets.CompiledStudyAssets`)
     threads a study's compile-once bundle through the engine: given a
@@ -392,9 +392,7 @@ class ParallelCrawler:
     def __init__(self, population, workers: int = 1,
                  num_shards: Optional[int] = None,
                  assets: Optional[CompiledStudyAssets] = None,
-                 profile: Optional[object] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 retry_policy: Optional[object] = None,
                  checkpoint_dir: Optional[str] = None,
                  recorder: Optional[Recorder] = None,
                  progress: Optional[ProgressSink] = None,
@@ -419,9 +417,7 @@ class ParallelCrawler:
             self._population = population
         self.workers = workers
         self.num_shards = num_shards
-        self.profile = profile
         self.fault_plan = fault_plan
-        self.retry_policy = retry_policy
         self.checkpoint_dir = checkpoint_dir
         self.recorder = recorder
         self.progress = progress
@@ -580,9 +576,7 @@ class ParallelCrawler:
                                            "shard-%03d.ckpt" % index)
         plan = self.fault_plan.fresh_copy() if self.fault_plan else None
         return ShardJob(population=self.population(),
-                        shard=self.layout.info(index),
-                        profile=self.profile, fault_plan=plan,
-                        retry_policy=self.retry_policy,
+                        shard=self.layout.info(index), fault_plan=plan,
                         checkpoint_path=checkpoint_path,
                         trace=self.recorder is not None,
                         resources=self.resources)

@@ -28,7 +28,6 @@ from ..browser import (
     ContentBlocker,
     OutboundFirewall,
     RetryPolicy,
-    SimClock,
     ensure_protocol,
     vanilla_firefox,
 )
@@ -255,7 +254,7 @@ class CrawlSession:
             profile=crawler.profile,
             server=wrap_server(self.server, crawler.fault_plan),
             resolver=population.resolver(fault_plan=crawler.fault_plan),
-            catalog=population.catalog, clock=crawler.clock,
+            catalog=population.catalog,
             extension=crawler.extension, firewall=crawler.firewall,
             consent_policy=crawler.consent_policy,
             retry_policy=crawler.retry_policy)
@@ -629,8 +628,9 @@ def step_session(session: CrawlSession, *, shard: int,
 class StudyCrawler:
     """Crawls a population under one browser profile (the §3.2 operator).
 
-    Owns one crawl's mutable state — the scripted browser (cookie jar,
-    capture log, simulated clock), the persona's mailbox and, when a
+    Every session it starts owns its crawl's mutable state — the
+    scripted browser (cookie jar, capture log, simulated clock), the
+    persona's mailbox and, when a
     :class:`~repro.netsim.faults.FaultPlan` is supplied, the resilient
     network stack (retries, backoff, per-origin circuit breakers).
     :meth:`crawl` runs every site to completion and returns the
@@ -642,7 +642,6 @@ class StudyCrawler:
 
     def __init__(self, population: Population,
                  profile: Optional[BrowserProfile] = None,
-                 clock: Optional[SimClock] = None,
                  extension: Optional[ContentBlocker] = None,
                  firewall: Optional[OutboundFirewall] = None,
                  consent_policy: Optional[str] = None,
@@ -673,7 +672,6 @@ class StudyCrawler:
         ensure_protocol(firewall, OutboundFirewall, "firewall")
         self.population = population
         self.profile = profile or vanilla_firefox()
-        self.clock = clock or SimClock()
         self.extension = extension
         self.firewall = firewall
         self.consent_policy = consent_policy or CONSENT_ACCEPT_ALL

@@ -47,16 +47,17 @@ def stable_site_order(domains: Iterable[str]) -> List[str]:
     return sorted(domains, key=lambda domain: (_domain_hash(domain), domain))
 
 
-def default_shard_count(site_count: int, cap: int = DEFAULT_SHARD_CAP) -> int:
+def default_shard_count(site_count: int) -> int:
     """The shard count used when the caller does not pick one.
 
-    ``min(cap, site_count)`` (at least 1): small populations get one
-    site-bearing shard each; large ones get ``cap`` shards.  A pure
+    ``min(DEFAULT_SHARD_CAP, site_count)`` (at least 1): small
+    populations get one site-bearing shard each; large ones get
+    :data:`DEFAULT_SHARD_CAP` shards.  A pure
     function of the population size — never of the worker count — so the
     default layout, and therefore the crawl fingerprint, is stable across
     machines with different parallelism.
     """
-    return max(1, min(cap, site_count))
+    return max(1, min(DEFAULT_SHARD_CAP, site_count))
 
 
 def shard_domains(domains: Iterable[str],

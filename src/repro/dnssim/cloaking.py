@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
-from ..psl import PublicSuffixList, default_list
+from ..psl import default_list
 from .resolver import Resolver
 
 #: Cloaking target zones -> operating tracker organisation.  Modelled on the
@@ -65,13 +65,10 @@ class CloakingVerdict:
 class CnameCloakingDetector:
     """Detects cloaked subdomains by resolving and matching CNAME chains."""
 
-    def __init__(self, resolver: Resolver,
-                 cloaking_zones: Optional[Dict[str, str]] = None,
-                 psl: Optional[PublicSuffixList] = None) -> None:
+    def __init__(self, resolver: Resolver) -> None:
         self._resolver = resolver
-        self._zones = dict(DEFAULT_CLOAKING_ZONES
-                           if cloaking_zones is None else cloaking_zones)
-        self._psl = psl or default_list()
+        self._zones = dict(DEFAULT_CLOAKING_ZONES)
+        self._psl = default_list()
 
     def add_zone(self, zone: str, organisation: str) -> None:
         """Register an additional cloaking target zone."""

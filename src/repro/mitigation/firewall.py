@@ -28,7 +28,7 @@ from ..netsim import (
     encode_urlencoded,
     percent_decode,
 )
-from ..psl import PublicSuffixList, default_list
+from ..psl import default_list
 
 #: Replacement for redacted token occurrences.
 REDACTION = "__pii_redacted__"
@@ -49,15 +49,14 @@ class PiiFirewall:
     """Scrubs candidate PII tokens out of outgoing third-party requests."""
 
     def __init__(self, tokens: CandidateTokenSet,
-                 psl: Optional[PublicSuffixList] = None,
                  resolver: Optional[Resolver] = None) -> None:
         """Pass ``resolver`` to make the firewall CNAME-cloaking aware:
         without it, cloaked collection subdomains look first-party and
         their cookie-channel leaks pass through — the same blind spot the
         paper found in origin-based protections."""
         self.tokens = tokens
-        self.psl = psl or default_list()
-        self._cloaking = (CnameCloakingDetector(resolver, psl=self.psl)
+        self.psl = default_list()
+        self._cloaking = (CnameCloakingDetector(resolver)
                           if resolver is not None else None)
         self._scrubbed_requests = 0
         self._redactions = 0

@@ -61,6 +61,11 @@ class QueueFullError(RuntimeError):
         self.retry_after = retry_after
 
 
+#: Seconds between the HTTP server's shutdown checks and between an
+#: idle runner's checks of the stop flag.
+POLL_INTERVAL = 0.1
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tunables of one service instance (plain picklable data).
@@ -80,7 +85,6 @@ class ServiceConfig:
     runners: int = 1
     queue_size: int = 8
     retry_after: int = 5
-    poll_interval: float = 0.1
     drain_timeout: float = 30.0
 
     def __post_init__(self) -> None:
@@ -90,8 +94,6 @@ class ServiceConfig:
             raise ValueError("queue_size must be >= 1")
         if self.retry_after < 0:
             raise ValueError("retry_after must be >= 0")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be > 0")
         if self.drain_timeout < 0:
             raise ValueError("drain_timeout must be >= 0")
 
@@ -168,7 +170,7 @@ class StudyService:
         """Serve HTTP until :meth:`begin_shutdown` (blocking)."""
         if self._server is None:
             raise RuntimeError("call start() before serve_forever()")
-        self._server.serve_forever(poll_interval=self.config.poll_interval)
+        self._server.serve_forever(poll_interval=POLL_INTERVAL)
 
     def start_in_thread(self) -> None:
         """``start()`` + serve on a background thread (tests, examples)."""
@@ -336,8 +338,7 @@ class StudyService:
     def _runner_loop(self) -> None:
         while not self._stopping.is_set():
             try:
-                record = self._queue.get(
-                    timeout=self.config.poll_interval)
+                record = self._queue.get(timeout=POLL_INTERVAL)
             except queue_module.Empty:
                 continue
             try:

@@ -256,6 +256,17 @@ def test_chaos_flag_requires_multiple_workers():
     assert "--workers >= 2" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("command", ["study", "report"])
+def test_shards_flag_requires_multiple_workers(command):
+    # The serial crawl is unsharded: --shards would be silently ignored.
+    from repro.cli import _study_for_args
+    from repro.core import StudyConfig
+    args = build_parser().parse_args([command, "--shards", "3"])
+    with pytest.raises(SystemExit) as excinfo:
+        _study_for_args(args, StudyConfig())
+    assert "--shards requires --workers >= 2" in str(excinfo.value)
+
+
 def test_bad_chaos_spec_errors_echo_grammar():
     from repro.cli import _apply_supervision_args
     from repro.core import StudyConfig

@@ -130,7 +130,8 @@ def test_blocked_entries_skipped_by_default(plain_detector):
     log = CaptureLog()
     log.record(entry)
     assert plain_detector.detect(log) == []
-    assert len(plain_detector.detect(log, include_blocked=True)) == 1
+    # Scanned on its own, the same request leaks: only the block hid it.
+    assert len(plain_detector.detect_entry(entry)) == 1
 
 
 def test_cloaked_subdomain_attributed_to_tracker_zone():
@@ -156,13 +157,6 @@ def test_uncloaked_first_party_subdomain_ignored():
                             resolver=Resolver(zone))
     entry = _entry("https://cdn.shop.example/a?email=%s" % EMAIL)
     assert detector.detect_entry(entry) == []
-
-
-def test_scan_first_party_mode():
-    detector = LeakDetector(CandidateTokenSet(DEFAULT_PERSONA),
-                            scan_first_party=True)
-    entry = _entry("https://www.shop.example/submit?email=%s" % EMAIL)
-    assert detector.detect_entry(entry)
 
 
 def test_event_deduplication_within_request(plain_detector):

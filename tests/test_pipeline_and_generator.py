@@ -49,6 +49,18 @@ def test_generator_seeds_differ():
     assert behaviors_a != behaviors_b
 
 
+def test_crawler_sessions_do_not_share_simulated_time():
+    """Each session a crawler starts runs on a clock of its own, so a
+    second crawl from the same crawler repeats the first."""
+    population = generate_population(seed=1, config=GeneratorConfig(
+        n_sites=6, n_trackers=4, leak_probability=0.6,
+        confirmation_probability=0.4))
+    crawler = StudyCrawler(population)
+    first = crawler.crawl().fingerprint()
+    assert crawler.crawl().fingerprint() == first
+    assert StudyCrawler(population).crawl().fingerprint() == first
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_generated_population_full_detection_recall(seed):
     """Every planted leak is found; no non-leaking site is accused."""

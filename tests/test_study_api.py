@@ -1,6 +1,8 @@
 """The redesigned Study/StudyConfig surface: keyword-only config,
 constructor-injected population spec, and Study.crawl() dispatch."""
 
+import re
+
 import pytest
 
 from repro.core import CrawlOutcome, Study, StudyConfig
@@ -39,9 +41,9 @@ def test_study_config_defaults_and_equality():
 
 def test_study_config_repr_names_every_field():
     text = repr(StudyConfig())
-    for name in ("profile", "token_config", "fault_plan", "retry_policy",
-                 "workers", "num_shards", "recorder"):
-        assert name in text
+    assert re.findall(r"(\w+)=", text) == [
+        "token_config", "fault_plan", "workers", "num_shards", "recorder",
+        "progress", "resources", "supervision", "chaos", "assets"]
 
 
 def test_replace_returns_modified_copy():
