@@ -103,3 +103,56 @@ def test_bench_calibrated_population_build(benchmark, monkeypatch):
                               rounds=2, iterations=1)
     assert len(spec.population.sites) == 404
     assert universes == []
+
+
+# -- request-path memos: each case checks the memoised answer against the
+# computation it replaces ----------------------------------------------------
+
+def _tracker_jar():
+    """A jar as a crawl leaves it: a tracker's ``tuid`` cookie beside the
+    first-party cookies of a few sites, every ``Cookie`` header kept."""
+    from repro.netsim import CookieJar, Url
+    jar = CookieJar()
+    tracker = Url.parse("https://px.tracker.net/b/ss?ev=PageView")
+    jar.set_from_header("tuid=0a1b2c; Path=/; Max-Age=31536000; "
+                        "Domain=tracker.net", tracker, now=10.0)
+    for index in range(20):
+        site = Url.parse("https://www.shop%d.example/" % index)
+        jar.set_from_header("session=s%d; Path=/; Max-Age=86400" % index,
+                            site, now=10.0)
+    return jar, tracker
+
+
+def test_bench_cookie_header_warm(benchmark):
+    jar, tracker = _tracker_jar()
+    jar.cookie_header(tracker, 20.0)
+    header = benchmark(jar.cookie_header, tracker, 20.0)
+    assert header == "; ".join("%s=%s" % (cookie.name, cookie.value)
+                               for cookie in jar.cookies_for(tracker, 20.0))
+    assert header == "tuid=0a1b2c"
+
+
+def test_bench_set_from_header_tuid(benchmark):
+    from repro.netsim import CookieJar, Url, parse_set_cookie
+    jar = CookieJar()
+    tracker = Url.parse("https://px.tracker.net/b/ss?ev=PageView")
+    header = ("tuid=9f8e7d6c5b4a39281706f5e4; Path=/; Max-Age=31536000; "
+              "Domain=tracker.net")
+    jar.set_from_header(header, tracker, now=10.0)
+    stored = benchmark(jar.set_from_header, header, tracker, 20.0)
+    expected = parse_set_cookie(header, tracker, 20.0)
+    expected.creation_time = 10.0  # an overwrite keeps the first's
+    assert stored == expected
+
+
+def test_bench_percent_encode_repeated(benchmark):
+    from repro.netsim import percent_encode
+    from repro.netsim.url import _encode
+    values = ["udff[em]", "https://www.shop.example/account/register",
+              DEFAULT_PERSONA.email, "PageView", "Jane Doe"] * 20
+
+    def encode_all():
+        return [percent_encode(value) for value in values]
+
+    encoded = benchmark(encode_all)
+    assert encoded == [_encode(value, "") for value in values]

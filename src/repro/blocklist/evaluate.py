@@ -16,7 +16,7 @@ method are prevented, mirroring the paper's per-method percentages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..core.detector import LeakDetector
 from ..netsim import CaptureEntry, CaptureLog, RESOURCE_SCRIPT, Url
@@ -86,17 +86,16 @@ class BlocklistEvaluator:
         # leak methods: its events share the entry's site and attributed
         # receiver, so a method's events all fare alike.
         observations: List[Tuple[Tuple[RequestContext, ...], str, str,
-                                 Set[str]]] = []
+                                 FrozenSet[str]]] = []
         contexts = _Contexts()
+        leak = self.detector.receiver_and_channels
         for entry in log:
-            if entry.was_blocked:
+            if entry.blocked_by is not None:
                 continue
-            events = self.detector.detect_entry(entry)
-            if events:
-                first = events[0]
-                observations.append((
-                    contexts.of_entry(entry), first.sender, first.receiver,
-                    {event.channel for event in events}))
+            found = leak(entry)
+            if found is not None:
+                observations.append((contexts.of_entry(entry), entry.site)
+                                    + found)
 
         report = Table4Report()
         for list_name, rules in self.rule_sets.items():

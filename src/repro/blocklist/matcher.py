@@ -11,8 +11,7 @@ index once per URL token (regex tokenisation plus a dict lookup each).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set
 
 from ..psl import default_list
 from .parser import Filter, parse_filter_list
@@ -20,8 +19,7 @@ from .parser import Filter, parse_filter_list
 _TOKEN_RE = re.compile(r"[a-z0-9%]{3,}")
 
 
-@dataclass(frozen=True)
-class RequestContext:
+class RequestContext(NamedTuple):
     """Context options for one request being checked."""
 
     url: str
@@ -30,13 +28,17 @@ class RequestContext:
     is_third_party: bool = True
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    """Outcome of matching one request against a rule set."""
+class MatchResult(NamedTuple):
+    """Outcome of matching one request against a rule set.  A tuple,
+    so always true: test :attr:`blocked`."""
 
     blocked: bool
     blocking_filter: Optional[Filter] = None
     exception_filter: Optional[Filter] = None
+
+
+#: The result of a request no blocking filter matches.
+_NOT_BLOCKED = MatchResult(blocked=False)
 
 
 def _index_token(filter_: Filter) -> Optional[str]:
@@ -118,7 +120,7 @@ class RuleSet:
                 blocking = filter_
                 break
         if blocking is None:
-            return MatchResult(blocked=False)
+            return _NOT_BLOCKED
         for exception in self._exceptions:
             if not exception.applies_to_type(context.resource_type):
                 continue

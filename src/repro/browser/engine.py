@@ -75,6 +75,9 @@ _MAX_REDIRECTS = 5
 
 _AUTOMATION_FIELD = ("Sec-Automation", "true")
 
+#: The tracker storage of a site that has stored nothing (read-only).
+_NO_STORAGE: Dict[str, Dict[str, str]] = {}
+
 
 class SimClock:
     """Monotonic simulated clock; each network exchange advances it."""
@@ -335,7 +338,8 @@ class Browser:
                       context: _PageContext, stage: str) -> None:
         embeds_by_domain = {e.service.domain: e for e in site.embeds}
         for kind, tag in page.resource_tags():
-            src = tag.get("src") or tag.get("href")
+            attrs = tag.attrs
+            src = attrs.get("src") or attrs.get("href")
             if not src:
                 continue
             resource_url = self._resource_url(context.url, src)
@@ -345,11 +349,11 @@ class Browser:
                 initiator_chain=context.chain, stage=stage,
                 referer=self._referer_field(context, resource_url),
                 page_url=context.text)
-            if tag.get("data-captcha") and response is not None:
+            if attrs.get("data-captcha") and response is not None:
                 self._captcha_ready[site.domain] = True
-            if tag.get("data-cmp") and response is not None:
+            if attrs.get("data-cmp") and response is not None:
                 self._answer_consent_banner(site, context, stage)
-            tracker_domain = tag.get("data-tracker")
+            tracker_domain = attrs.get("data-tracker")
             if tracker_domain and response is not None:
                 embed = embeds_by_domain.get(tracker_domain)
                 if embed is not None:
@@ -360,7 +364,10 @@ class Browser:
         loaded again shares its text, chain and fields with the earlier
         loads."""
         text = str(url)
-        return self._pages.get_or_build(text, _PageContext, url, text)
+        context = self._pages.get(text)
+        if context is None:
+            context = self._pages.get_or_build(text, _PageContext, url, text)
+        return context
 
     def _resource_url(self, page_url: Url, src: str) -> Url:
         """``page_url.join(src)``, one shared ``Url`` per absolute ``src``.
@@ -372,7 +379,10 @@ class Browser:
         """
         if "://" not in src:
             return page_url.join(src)
-        return self._resource_urls.get_or_build(src, Url.parse, src)
+        url = self._resource_urls.get(src)
+        if url is None:
+            url = self._resource_urls.get_or_build(src, Url.parse, src)
+        return url
 
     def _answer_consent_banner(self, site: Website, context: _PageContext,
                                stage: str) -> None:
@@ -415,13 +425,14 @@ class Browser:
                      context: _PageContext, stage: str) -> None:
         if not self._tracking_consented(site):
             return
-        stored = {service: dict(params) for service, params
-                  in self.tracker_storage.get(site.domain, {}).items()}
         chain, pings = self._snippet(site, embed.service, context)
-        ctx = ScriptContext(site=site, page_url=context.url, stage=stage,
-                            pii=dict(self._page_pii), stored_state=stored,
-                            timestamp=self.clock.now(), pings=pings)
-        actions = list(baseline_actions(embed, ctx))
+        # The snippet reads the page PII and the site's tracker storage
+        # as they are: its actions are all built before any runs.
+        ctx = ScriptContext(site, context.url, stage, pings, self._page_pii,
+                            self.tracker_storage.get(site.domain,
+                                                     _NO_STORAGE),
+                            self.clock.now())
+        actions = baseline_actions(embed, ctx)
         if self._page_pii and embed.leaks:
             actions.extend(exfil_actions(embed, ctx))
         else:
@@ -440,9 +451,12 @@ class Browser:
         parts = context.snippets.get(key)
         if parts is None:
             script = (service.script_host, service.script_path)
+            script_url = self._script_urls.get(script)
+            if script_url is None:
+                script_url = self._script_urls.get_or_build(
+                    script, Url, "https", *script)
             parts = context.snippets[key] = (
-                (context.url, self._script_urls.get_or_build(
-                    script, Url, "https", *script)),
+                (context.url, script_url),
                 SnippetPings(service, site, context.page_view))
         return parts
 
@@ -486,8 +500,9 @@ class Browser:
         if referer:
             fields.append(referer)
         if content_type:
-            fields.append(self._fields.intern(("Content-Type",
-                                               content_type)))
+            field = ("Content-Type", content_type)
+            fields.append(self._fields.get(field)
+                          or self._fields.intern(field))
         if self.profile.automation_detectable:
             fields.append(_AUTOMATION_FIELD)
 
@@ -500,15 +515,16 @@ class Browser:
             cookie_value = self.jar.cookie_header(url, self.clock.now(),
                                                   verdict.partition)
             if cookie_value:
-                fields.append(self._fields.intern(("Cookie", cookie_value)))
+                field = ("Cookie", cookie_value)
+                fields.append(self._fields.get(field)
+                              or self._fields.intern(field))
 
         block = tuple(fields)
-        request = HttpRequest(method=method, url=url,
-                              headers=self._blocks.get_or_build(
-                                  block, Headers, block),
-                              body=body, resource_type=resource_type,
-                              initiator_chain=initiator_chain,
-                              timestamp=self.clock.tick())
+        headers = self._blocks.get(block)
+        if headers is None:
+            headers = self._blocks.get_or_build(block, Headers, block)
+        request = HttpRequest(method, url, headers, body, resource_type,
+                              initiator_chain, self.clock.tick())
 
         if self.firewall is not None:
             # The firewall rewrites the query, path, headers and body,
@@ -522,10 +538,8 @@ class Browser:
             blocker = self.extension.filter_request(
                 str(url), resource_type, site.www_host)
         if blocker is not None:
-            self.log.record(CaptureEntry(request=request, response=None,
-                                         site=site.domain, stage=stage,
-                                         page_url=page_url,
-                                         blocked_by=blocker))
+            self.log.record(CaptureEntry(request, None, site.domain, stage,
+                                         page_url, blocker))
             return None, url
 
         response = self._exchange(request, site, stage, page_url,
@@ -615,9 +629,8 @@ class Browser:
                     origin=origin, kind=exc.kind, attempts=attempt,
                     circuit_open=tripped)
                 return None
-            self.log.record(CaptureEntry(request=request, response=response,
-                                         site=site.domain, stage=stage,
-                                         page_url=page_url))
+            self.log.record(CaptureEntry(request, response, site.domain,
+                                         stage, page_url))
             if policy is not None and attempt < max_attempts and \
                     response.status in RETRYABLE_STATUSES:
                 request = self._retry_request(request, policy, attempt,
@@ -636,12 +649,9 @@ class Browser:
         """Back off, then rebuild the request with a fresh timestamp (and
         the same, read-only, ``Headers``)."""
         self.clock.tick(policy.backoff_delay(attempt, host))
-        return HttpRequest(method=request.method, url=request.url,
-                           headers=request.headers,
-                           body=request.body,
-                           resource_type=request.resource_type,
-                           initiator_chain=request.initiator_chain,
-                           timestamp=self.clock.tick())
+        return HttpRequest(request.method, request.url, request.headers,
+                           request.body, request.resource_type,
+                           request.initiator_chain, self.clock.tick())
 
     def _judge(self, site: Website, host: str) -> _HostVerdict:
         """The profile's verdict on requests from ``site`` to ``host``."""

@@ -166,7 +166,7 @@ class HeuristicDetector:
     def detect(self, log: CaptureLog) -> List[SuspectedLeak]:
         findings: List[SuspectedLeak] = []
         for entry in log:
-            if entry.was_blocked:
+            if entry.blocked_by is not None:
                 continue
             findings.extend(self.detect_entry(entry))
         return findings

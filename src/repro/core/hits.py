@@ -141,9 +141,12 @@ class LeakHits:
             hits += found_hits
         body = request.body
         if body and self._scans_body:
-            hits += self._bodies.get_or_build((content_type, body),
-                                              self._body_hits,
-                                              content_type, body)
+            key = (content_type, body)
+            found_hits = self._bodies.get(key)
+            if found_hits is None:
+                found_hits = self._bodies.get_or_build(
+                    key, self._body_hits, content_type, body)
+            hits += found_hits
         return hits
 
     # -- one scan per distinct part ------------------------------------------

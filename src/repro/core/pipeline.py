@@ -50,11 +50,10 @@ class StudyConfig:
     seeded network faults into the crawl (see
     :mod:`repro.netsim.faults`); when set, the crawler runs its resilient
     network path with a standard :class:`~repro.browser.RetryPolicy`.
-    At ``workers=1`` the crawl advances ``fault_plan`` itself: its
-    counters and event log move, so crawling the same config again
-    draws a different fault stream.  At ``workers >= 2`` every shard
-    crawls a :meth:`~repro.netsim.faults.FaultPlan.fresh_copy`, the
-    plan is left as it was, and a second crawl repeats the first.
+    Every crawl session (the one of a serial crawl, or each shard's)
+    crawls a :meth:`~repro.netsim.faults.FaultPlan.fresh_copy`, so the
+    plan is left as it was and a second crawl repeats the first; the
+    executed faults come back as :attr:`CrawlOutcome.fault_plan`.
 
     ``workers`` selects the crawl engine: ``1`` (default) is the
     historical single-session serial crawl; ``N > 1`` fans the

@@ -249,11 +249,14 @@ class CrawlSession:
         self.mailbox = Mailbox(self.persona.email)
         self.server = population.build_server(
             mail_hook=ConfirmationMailHook(self.mailbox))
-        self.fault_plan = crawler.fault_plan
+        #: The session's own copy of the crawler's plan, so the crawler's
+        #: plan is never consumed and every session draws the same faults.
+        self.fault_plan = (None if crawler.fault_plan is None
+                           else crawler.fault_plan.fresh_copy())
         self.browser = Browser(
             profile=crawler.profile,
-            server=wrap_server(self.server, crawler.fault_plan),
-            resolver=population.resolver(fault_plan=crawler.fault_plan),
+            server=wrap_server(self.server, self.fault_plan),
+            resolver=population.resolver(fault_plan=self.fault_plan),
             catalog=population.catalog,
             extension=crawler.extension, firewall=crawler.firewall,
             consent_policy=crawler.consent_policy,
@@ -658,7 +661,9 @@ class StudyCrawler:
         operator) is forwarded to the browser.  ``fault_plan`` makes the
         synthetic web flaky; supplying one enables the resilient network
         path with a default :class:`~repro.browser.RetryPolicy` unless an
-        explicit ``retry_policy`` is given.  ``recorder`` (a
+        explicit ``retry_policy`` is given.  Each session crawls a
+        :meth:`~repro.netsim.faults.FaultPlan.fresh_copy` of the plan
+        (its ``fault_plan``), so the plan is left as it was.  ``recorder`` (a
         :class:`repro.obs.Recorder`) turns on structured tracing for the
         sessions this crawler starts; ``None`` (the default) records
         nothing and costs nothing.  A firewall that keeps state across

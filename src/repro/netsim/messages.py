@@ -33,6 +33,7 @@ RESOURCE_TYPES = (
     RESOURCE_XHR,
     RESOURCE_PING,
 )
+_RESOURCE_TYPE_SET = frozenset(RESOURCE_TYPES)
 
 
 @dataclass(init=False)
@@ -62,7 +63,7 @@ class HttpRequest:
                  timestamp: float = 0.0) -> None:
         if not method.isupper():
             method = method.upper()
-        if resource_type not in RESOURCE_TYPES:
+        if resource_type not in _RESOURCE_TYPE_SET:
             raise ValueError("unknown resource type: %r" % resource_type)
         self.method = method
         self.url = url

@@ -13,7 +13,7 @@ through the same instrumented request path the detector later analyses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .. import hashes
 from ..core.leakmodel import (
@@ -34,8 +34,7 @@ from .site import LeakBehavior, TrackerEmbed, Website
 from .trackers import TrackerService
 
 
-@dataclass(frozen=True)
-class EmitRequest:
+class EmitRequest(NamedTuple):
     """Action: send an HTTP request."""
 
     method: str
@@ -62,12 +61,18 @@ class StoreTrackerState:
     values: Tuple[Tuple[str, str], ...]
 
 
-Action = object  # union of the three dataclasses above
+Action = object  # union of the three action classes above
 
 
 @dataclass
 class ScriptContext:
-    """What a snippet can observe when it runs."""
+    """What a snippet can observe when it runs.
+
+    ``pii`` and ``stored_state`` are the browser's own dicts, handed over
+    without a copy: a snippet only reads them, and the browser applies
+    the actions (:class:`StoreTrackerState` among them) after the snippet
+    has built all of them.
+    """
 
     site: Website
     page_url: Url
@@ -97,8 +102,7 @@ class SnippetPings:
                  page_view: Tuple[Tuple[str, str], ...]) -> None:
         self._host = _endpoint_host(service, site)
         self._path = service.endpoint_path
-        self.load = Url(scheme="https", host=self._host, path=self._path,
-                        query=page_view)
+        self.load = Url("https", self._host, self._path, page_view)
         self._beacon: Optional[Url] = None
 
     @property
@@ -211,8 +215,7 @@ def baseline_actions(embed: TrackerEmbed, ctx: ScriptContext) -> List[Action]:
     A plain event ping (no PII) — the background tracking traffic that
     exists whether or not the site leaks.
     """
-    return [EmitRequest(method="GET", url=ctx.pings.load,
-                        resource_type=RESOURCE_IMAGE)]
+    return [EmitRequest("GET", ctx.pings.load, b"", None, RESOURCE_IMAGE)]
 
 
 def exfil_actions(embed: TrackerEmbed, ctx: ScriptContext) -> List[Action]:

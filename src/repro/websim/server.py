@@ -17,7 +17,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from ..netsim import Headers, HttpRequest, HttpResponse
 from ..netsim.stamps import Memo
 from ..psl import default_list
-from .html import PageWriter, ScriptBlock
+from .html import LinkBlock, PageWriter, ScriptBlock
 from .site import (
     PAGE_ACCOUNT,
     PAGE_HOME,
@@ -42,13 +42,15 @@ ACCOUNT_ACTIVE = "active"
 #: Callback signature for confirmation mail: (site_domain, email, url).
 MailHook = Callable[[str, str, str], None]
 
-#: (href, text) links on the home page, and on the pages that lead back
-#: to the account.
-_HOME_LINKS = ((PAGE_PATHS[PAGE_SIGNUP], "Create account"),
-               (PAGE_PATHS[PAGE_SIGNIN], "Sign in"),
-               (PAGE_PATHS[PAGE_PRODUCT], "Aurora Lamp"),
-               ("/privacy", "Privacy policy"))
-_ACCOUNT_LINKS = (("/account", "Your account"),)
+#: The links on the home page, on the pages that lead back to the
+#: account, and on the product page; and no links.
+_HOME_LINKS = LinkBlock(((PAGE_PATHS[PAGE_SIGNUP], "Create account"),
+                         (PAGE_PATHS[PAGE_SIGNIN], "Sign in"),
+                         (PAGE_PATHS[PAGE_PRODUCT], "Aurora Lamp"),
+                         ("/privacy", "Privacy policy")))
+_ACCOUNT_LINKS = LinkBlock((("/account", "Your account"),))
+_PRODUCT_LINKS = LinkBlock((("/account", "Account"),))
+_NO_LINKS = LinkBlock(())
 
 #: Routes of a request host (see `WebServer._route`).
 _ROUTE_SITE = "site"
@@ -163,9 +165,9 @@ class WebServer:
     def _reply(self, status: int, body: bytes = b"",
                fields: _Fields = ()) -> HttpResponse:
         """The one shared response with these parts."""
-        return self._replies.get_or_build((status, fields, body),
-                                          _build_reply, status, fields,
-                                          body)
+        key = (status, fields, body)
+        return self._replies.get(key) or self._replies.get_or_build(
+            key, _build_reply, status, fields, body)
 
     @staticmethod
     def _is_cmp_host(host: str) -> bool:
@@ -212,30 +214,34 @@ class WebServer:
             return self._page(site, "Your account", "Welcome back")
         if path == PAGE_PATHS[PAGE_PRODUCT]:
             return self._page(site, "Aurora Lamp", "Aurora Lamp",
-                              (("/account", "Account"),))
+                              _PRODUCT_LINKS)
         if path == "/privacy":
             return self._reply(200, b"(privacy policy page)")
         return self._reply(404, b"not found")
 
     def _page(self, site: Website, title: str, heading: str,
-              links: Sequence[Tuple[str, str]] = (),
+              links: LinkBlock = _NO_LINKS,
               form: Optional[FormSpec] = None) -> HttpResponse:
-        """A first-party page: ``heading``, then ``links`` (href, text)
-        or ``form``, then the site's consent, tracker and captcha
-        scripts.  The response carries the parsed page beside the bytes
-        (see :class:`~repro.websim.html.PageWriter`).  A page rendered
-        again shares the earlier one's body."""
-        headers, scripts = self._parts_by_site.get_or_build(
-            site.domain, _site_parts, site)
+        """A first-party page: ``heading``, then ``links`` or ``form``,
+        then the site's consent, tracker and captcha scripts.  The
+        response carries the parsed page beside the bytes (see
+        :class:`~repro.websim.html.PageWriter`).  A page rendered again
+        shares the earlier one's body."""
+        parts = self._parts_by_site.get(site.domain)
+        if parts is None:
+            parts = self._parts_by_site.get_or_build(site.domain,
+                                                     _site_parts, site)
+        headers, scripts = parts
         writer = PageWriter(heading)
-        for href, text in links:
-            writer.link(href, text)
+        writer.links(links)
         if form is not None:
             writer.form(form.action, form.method, form.form_id,
                         [(f.name, f.kind, f.value) for f in form.fields])
         writer.scripts(scripts)
         html = writer.document("%s - %s" % (site.domain, title))
-        body = self._bodies.get_or_build(html, str.encode, html, "utf-8")
+        body = self._bodies.get(html)
+        if body is None:
+            body = self._bodies.get_or_build(html, str.encode, html, "utf-8")
         return HttpResponse(status=200, headers=headers, body=body,
                             page=writer.page)
 

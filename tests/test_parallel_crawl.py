@@ -169,8 +169,9 @@ def test_a_crawl_leaves_its_population_as_it_found_it(build):
     population = build()
     before = _population_bytes(population)
     plan = FaultPlan(seed=11, transient_rate=0.25, dead_rate=0.1)
-    dataset = StudyCrawler(population, fault_plan=plan).crawl()
-    assert plan.events and dataset.log.entries
+    session = StudyCrawler(population, fault_plan=plan).start()
+    dataset = session.run()
+    assert session.fault_plan.events and dataset.log.entries
     assert _population_bytes(population) == before
 
 

@@ -45,6 +45,10 @@ from repro.netsim.stamps import Memo
 from repro.psl import default_list
 from repro.websim.generator import GeneratorConfig, generate_population
 
+#: The calibrated crawl's fingerprint, as pinned in test_endtoend_paper.
+CALIBRATED_CRAWL_FINGERPRINT = (
+    "4dbe2635b79b834cf7ceea8f499b248b4bec6517e3638c30259aae5869942241")
+
 
 def _reference_events(detector, tokens, entry):
     """``detect_entry`` as a fresh scan of every part of the request,
@@ -228,6 +232,33 @@ def test_table4_is_pinned_cell_for_cell(crawl, detector):
     assert cells == TABLE4_CELLS
 
 
+def _assert_receiver_and_channels_agree(detector, log):
+    leaking = 0
+    for entry in log:
+        events = detector.detect_entry(entry)
+        found = detector.receiver_and_channels(entry)
+        if not events:
+            assert found is None
+            continue
+        leaking += 1
+        assert found == (events[0].receiver,
+                         frozenset(event.channel for event in events))
+    assert leaking
+
+
+def test_receiver_and_channels_agree_with_detect_entry(crawl, detector):
+    """Table 4 reads each entry's receiver and channel set without
+    building its events; they are the events' own."""
+    population = generate_population(seed=5, config=GeneratorConfig(
+        n_sites=24, n_trackers=6))
+    small = LeakDetector(CandidateTokenSet(DEFAULT_PERSONA),
+                         catalog=population.catalog,
+                         resolver=population.resolver())
+    _assert_receiver_and_channels_agree(
+        small, StudyCrawler(population).crawl().log)
+    _assert_receiver_and_channels_agree(detector, crawl.log)
+
+
 def test_table4_contexts_are_built_once_per_url_and_site(crawl):
     contexts = blocklist_evaluate._Contexts()
     entries = [entry for entry in crawl.log if not entry.was_blocked]
@@ -351,6 +382,27 @@ def test_browser_verdict_memo_at_its_limit_keeps_the_fingerprint(
 
     monkeypatch.setattr(engine.Browser, "__init__", tiny)
     assert crawl() == unbounded
+
+
+def test_a_resumed_crawl_starts_with_empty_jar_memos(tmp_path, study_spec):
+    """A journal holds the jar's cookies, not its kept ``Cookie`` headers
+    or ``Set-Cookie`` parses: a resumed session starts them empty and
+    finishes to the pinned calibrated fingerprint."""
+    from repro.crawler import CrawlSession
+    population = study_spec.population
+    session = StudyCrawler(population).start()
+    for _ in range(40):
+        session.step()
+    jar = session.browser.jar
+    assert jar._rendered and jar._readers and jar._attributes
+    path = str(tmp_path / "crawl.ckpt")
+    session.save(path)
+    resumed = CrawlSession.load(path, population)
+    jar = resumed.browser.jar
+    assert len(jar) == len(session.browser.jar)
+    assert not (jar._rendered or jar._readers or jar._attributes
+                or jar._headers)
+    assert resumed.run().fingerprint() == CALIBRATED_CRAWL_FINGERPRINT
 
 
 def test_no_memo_reaches_a_pickle(study_spec, crawl, tokens, detector):

@@ -41,9 +41,11 @@ def test_faulty_crawl_converges_to_fault_free_results():
     assert set(baseline.dataset.status_counts()) == {STATUS_SUCCESS}
 
     plan = FaultPlan(seed=11, transient_rate=0.25)
-    faulty = Study(_population(), StudyConfig(fault_plan=plan)).run()
+    study = Study(_population(), StudyConfig(fault_plan=plan))
+    outcome = study.crawl()
+    faulty = study.analyze(outcome.dataset)
     assert set(faulty.dataset.status_counts()) == {STATUS_SUCCESS}
-    assert plan.failure_log()  # faults actually fired
+    assert outcome.fault_plan.failure_log()  # faults actually fired
     assert _leak_signature(faulty.events) == _leak_signature(baseline.events)
 
 
@@ -51,10 +53,28 @@ def test_same_seed_reproduces_identical_failure_log():
     runs = []
     for _ in range(2):
         plan = FaultPlan(seed=7, transient_rate=0.25)
-        dataset = StudyCrawler(_population(), fault_plan=plan).crawl()
-        runs.append((plan.failure_log(), dataset.fingerprint()))
+        session = StudyCrawler(_population(), fault_plan=plan).start()
+        dataset = session.run()
+        runs.append((session.fault_plan.failure_log(),
+                     dataset.fingerprint()))
     assert runs[0][0] and runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
+
+
+def test_serial_crawls_leave_the_callers_plan_unconsumed():
+    """Each crawl session draws from a fresh copy of the plan, so one
+    study crawled twice at ``workers=1`` gives one fingerprint, as at
+    ``workers=2``."""
+    population = generate_population(seed=5, config=GeneratorConfig(
+        n_sites=10, n_trackers=4))
+    plan = FaultPlan(seed=3, transient_rate=0.3)
+    study = Study(population, StudyConfig(fault_plan=plan))
+    first, second = study.crawl(), study.crawl()
+    assert first.fault_plan.events
+    assert first.fault_plan is not plan and second.fault_plan is not plan
+    assert first.dataset.fingerprint() == second.dataset.fingerprint()
+    assert first.fault_plan.failure_log() == second.fault_plan.failure_log()
+    assert plan.events == []
 
 
 def test_retries_are_visible_in_capture_log():
@@ -71,7 +91,8 @@ def test_dead_origin_is_quarantined_not_dropped():
     population = _population()
     dead = sorted(population.sites)[0]
     plan = FaultPlan(seed=7, transient_rate=0.1, dead_origins=[dead])
-    dataset = StudyCrawler(population, fault_plan=plan).crawl()
+    session = StudyCrawler(population, fault_plan=plan).start()
+    dataset = session.run()
 
     counts = dataset.status_counts()
     assert counts[STATUS_QUARANTINED] == 1
@@ -82,7 +103,7 @@ def test_dead_origin_is_quarantined_not_dropped():
     assert flow.attempts >= 1 and flow.failure_kind is not None
     assert dataset.failure_class_counts() == {FAILURE_PERMANENT: 1}
 
-    report = render_crawl_health(dataset, plan)
+    report = render_crawl_health(dataset, session.fault_plan)
     assert STATUS_QUARANTINED in report and dead in report
     assert "dead_origin" in report
 
