@@ -8,6 +8,7 @@ from repro.crawler import StudyCrawler
 from repro.websim import html as html_module
 from repro.websim.generator import GeneratorConfig, generate_population
 from repro.websim.html import (
+    LinkBlock,
     PageWriter,
     ScriptBlock,
     Tag,
@@ -252,7 +253,7 @@ def test_tokenizer_edge_cases_match_the_reference(html, monkeypatch):
 
 def test_page_writer_model_is_the_parse_of_its_document():
     writer = PageWriter('A & "B"')
-    writer.link('/next?a=1&b="2"', "<next>")
+    writer.links(LinkBlock([('/next?a=1&b="2"', "<next>")]))
     writer.form("/s?x=1&y=2", "get", 'f"1',
                 [("email", "email", ""), ("csrf", "hidden", "t&<k>")])
     writer.scripts(ScriptBlock([{"src": "https://t.net/a.js?x=1&y=2",
